@@ -159,18 +159,13 @@ func BenchmarkHotPathAllocs(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
 		maxBatch int
-		workers  int
 	}{
-		{"e2e-ycsb/MaxBatch=1", 1, 0},
-		{"e2e-ycsb/batched", 0, 0},   // node default (64)
-		{"e2e-ycsb/pipelined", 0, 2}, // staged plane forced on: the alloc
-		// budget must hold with pooled buffers crossing stage boundaries
-		{"e2e-ycsb/inline", 0, -1}, // staged plane forced off, for comparison
+		{"e2e-ycsb/MaxBatch=1", 1},
+		{"e2e-ycsb/batched", 0}, // node default (64)
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			opts := evalOptions(harness.Raft, true, false)
 			opts.MaxBatch = mode.maxBatch
-			opts.PipelineWorkers = mode.workers
 			benchSustainedMem(b, opts, workload.Config{ReadRatio: 0.50, ValueSize: 256})
 		})
 	}

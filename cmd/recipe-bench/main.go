@@ -291,13 +291,13 @@ func measureReads(opts harness.Options, clients int) (m measurement, local, repl
 }
 
 // phasesTable is the telemetry layer's own experiment: it slices a write's
-// life across the data plane — ingress MAC verify, pipeline queue wait,
+// life across the data plane — ingress MAC verify, commit queue wait,
 // egress seal, WAL fsync, raft append→commit lag, netstack flush and dwell —
 // and reports p50/p99/p999 per phase next to the client round trip they
-// compose, at the default client count and at 10x. Durable pipelined R-Raft,
-// 50% reads, 256B values.
+// compose, at the default client count and at 10x. Durable R-Raft, 50%
+// reads, 256B values.
 func phasesTable() error {
-	fmt.Println("\n=== Phases: per-phase latency percentiles (durable pipelined R-Raft, 50%R, 256B) ===")
+	fmt.Println("\n=== Phases: per-phase latency percentiles (durable R-Raft, 50%R, 256B) ===")
 	fmt.Println(envLine())
 	phaseOrder := []string{
 		core.MetricPhaseClientRTT,
@@ -314,8 +314,7 @@ func phasesTable() error {
 	for _, clients := range []int{*clientsFlag, 10 * *clientsFlag} {
 		w := workload.Config{Keys: 1024, ReadRatio: 0.50, ValueSize: 256, Seed: 1}
 		c, err := harness.New(harness.Options{
-			Protocol: harness.Raft, Shielded: true, Seed: 1,
-			Durability: true, PipelineWorkers: 2,
+			Protocol: harness.Raft, Shielded: true, Seed: 1, Durability: true,
 		})
 		if err != nil {
 			return err
@@ -508,14 +507,12 @@ func memTable() error {
 		for _, mode := range []struct {
 			name     string
 			maxBatch int
-			workers  int
 		}{
-			{"per-message", 1, 0},
-			{"batched", 0, 0},   // node default (64)
-			{"pipelined", 0, 2}, // staged data plane forced on
+			{"per-message", 1},
+			{"batched", 0}, // node default (64)
 		} {
 			m, err := measureMem(harness.Options{Protocol: proto, Shielded: true, Seed: 1,
-				MaxBatch: mode.maxBatch, PipelineWorkers: mode.workers},
+				MaxBatch: mode.maxBatch},
 				workload.Config{ReadRatio: 0.50, ValueSize: 256})
 			if err != nil {
 				return err
@@ -612,8 +609,9 @@ func latCols(s telemetry.Snapshot) string {
 }
 
 // envLine is printed under every experiment header: several tables (the
-// memory discipline, the staged data plane) only mean something relative to
-// the cores behind them, so the host parallelism travels with the numbers.
+// memory discipline, the commit stage's overlap) only mean something
+// relative to the cores behind them, so the host parallelism travels with
+// the numbers.
 func envLine() string {
 	return "host: " + telemetry.HostInfo().String()
 }

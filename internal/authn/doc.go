@@ -70,9 +70,8 @@
 // The per-channel state (counters, gap buffer, delivery scratch) is NOT
 // safe for concurrent use on the same channel: callers that parallelise
 // must partition channels across goroutines so each channel has exactly one
-// verifier and one sealer at a time. core's staged data plane does exactly
-// that — its dispatcher hashes envelopes by channel name to ingress
-// workers, and its egress workers own disjoint peers per flush — which is
-// why Verify's returned scratch slice remains valid under pipelining: the
-// next Verify on that channel can only come from the same worker.
+// verifier and one sealer at a time. core's node verifies every inbound
+// envelope on its single protocol loop, which is why Verify's returned
+// scratch slice stays valid until the loop has consumed it: the next Verify
+// on that channel can only come from the same goroutine.
 package authn

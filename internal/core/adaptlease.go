@@ -23,8 +23,8 @@ import (
 //     safe — it only gives up read time) and then tells followers, who narrow
 //     the grants at their leisure.
 //
-// All tuning state is event-loop-only; holder/grant are atomics because the
-// lease-renewal paths read them from ingress workers on the staged plane.
+// All tuning state is event-loop-only; holder/grant are atomics because
+// LeaseWidths (the telemetry gauge, tests) reads them off the loop.
 type adaptiveLease struct {
 	base time.Duration
 	max  time.Duration

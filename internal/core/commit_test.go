@@ -17,7 +17,7 @@ import (
 // gated shut. A node's group commit (seal.Log.Sync) registers the covered
 // chain position before it returns, so while the gate is closed no durable
 // node can complete a commit — which means no client may see an ack. That is
-// the deferred-ack invariant under pipelining: the commit stage runs off the
+// the deferred-ack invariant of the commit stage: the fsync runs off the
 // protocol loop, but replies still only leave after their fsync+register.
 type gateReg struct {
 	mu    sync.Mutex
@@ -69,12 +69,11 @@ func (r *gateReg) SealRoot(id string) (uint64, [32]byte, bool) {
 	return c, r.roots[id], ok
 }
 
-// TestPipelinedAckAfterGroupCommit: with the staged plane forced on and
-// durability enabled, a client PUT is not acknowledged until the replica's
-// overlapped group commit has fully completed. The registrar gate stalls
-// commits mid-flight; the ack must stall with them and arrive only after
-// release.
-func TestPipelinedAckAfterGroupCommit(t *testing.T) {
+// TestAckAfterGroupCommit: with durability enabled, a client PUT is not
+// acknowledged until the replica's overlapped group commit has fully
+// completed. The registrar gate stalls commits mid-flight; the ack must
+// stall with them and arrive only after release.
+func TestAckAfterGroupCommit(t *testing.T) {
 	master := make([]byte, 32)
 	master[0] = 9
 	membership := []string{"p1", "p2", "p3"}
@@ -98,9 +97,8 @@ func TestPipelinedAckAfterGroupCommit(t *testing.T) {
 					MasterKey:  master,
 					Membership: membership,
 				},
-				Shielded:        true,
-				TickEvery:       time.Millisecond,
-				PipelineWorkers: 2,
+				Shielded:  true,
+				TickEvery: time.Millisecond,
 				Durability: &core.DurabilityConfig{
 					Dir:       t.TempDir(),
 					Registrar: reg,

@@ -197,14 +197,8 @@ func (n *Node) admitCommand(cmd *Command) bool {
 	return true
 }
 
-// overloaded reports whether the loop's bounded queues are near their bounds
-// — the PR 6 backpressure signal feeding the admission gate.
+// overloaded reports whether the loop's submit queue is near its bound — the
+// backpressure signal feeding the admission gate.
 func (n *Node) overloaded() bool {
-	if len(n.submitCh) >= cap(n.submitCh)*3/4 {
-		return true
-	}
-	if n.pipe != nil && len(n.pipe.verified) >= cap(n.pipe.verified)*3/4 {
-		return true
-	}
-	return false
+	return len(n.submitCh) >= cap(n.submitCh)*3/4
 }

@@ -38,10 +38,10 @@ type Stats struct {
 	DropEpoch     atomic.Uint64 // stale-configuration-epoch messages rejected
 	DropMalformed atomic.Uint64 // undecodable packets
 	DropRollback  atomic.Uint64 // sealed local state rejected at recovery (rollback/fork/tamper)
-	// PipelineStalls counts stage handoffs that found the destination queue
-	// full and had to block (backpressure). Zero in a well-provisioned
-	// pipeline; a climbing value means a stage is the bottleneck — read the
-	// per-stage depths (Node.PipelineDepths) to see which.
+	// PipelineStalls counts commit handoffs that found the commit queue full
+	// and had to block the loop (backpressure). Zero while the disk keeps
+	// up; a climbing value means the WAL fsync is the bottleneck
+	// (Node.CommitDepth shows the standing backlog).
 	PipelineStalls atomic.Uint64
 	// Read-path counters (PR 7): where reads were actually served, so the
 	// scale-out benches can prove which path answered.
@@ -78,21 +78,13 @@ type NodeConfig struct {
 	MaxBatch int
 	// Confidential additionally encrypts message payloads and stored values.
 	Confidential bool
-	// PipelineWorkers controls the multi-core data plane. 0 (the default)
-	// sizes it automatically: inline (single-threaded, no stages) when
-	// GOMAXPROCS is 1, otherwise min(GOMAXPROCS, 8) ingress and egress
-	// workers around the protocol loop. -1 forces the inline data plane
-	// regardless of GOMAXPROCS. Values >= 1 set the per-stage worker count
-	// explicitly. Only shielded nodes pipeline — the stages parallelise the
-	// authn crypto, which native mode does not have.
-	PipelineWorkers int
 	// StoreConfig configures the local KV store.
 	StoreConfig kvstore.Config
 	// Durability, when set, gives the node a sealed durable store: committed
 	// mutations append to an encrypted WAL (group-committed once per event-
-	// loop iteration), snapshots checkpoint it, and a restart recovers the
-	// state locally instead of streaming it from peers. Nil (the default)
-	// keeps the node purely in-memory — nothing else in the node changes.
+	// loop iteration on the commit stage), snapshots checkpoint it, and a
+	// restart recovers the state locally instead of streaming it from peers.
+	// Nil (the default) keeps the node purely in-memory.
 	Durability *DurabilityConfig
 	// Logf, when set, receives debug logs.
 	Logf func(format string, args ...any)
@@ -110,7 +102,7 @@ type NodeConfig struct {
 	// AdmissionRate, when > 0, arms the per-client token-bucket admission
 	// gate at the coordinator: each client is admitted at most this many ops
 	// per second sustained (AdmissionBurst above it), and the gate also sheds
-	// load when the staged plane's bounded queues run near their bounds.
+	// load when the node's submit queue runs near its bound.
 	// Rejected ops get a KindBusy reply — retriable, never submitted — and
 	// count in Stats.AdmissionRejects. 0 disables the gate entirely.
 	AdmissionRate float64
@@ -185,8 +177,8 @@ type Node struct {
 	// log; recoveredFloor is the highest version TS local recovery restored
 	// (the state-transfer suffix floor for total-order protocols).
 	// deferredReplies parks client replies produced during an iteration
-	// until the WAL group-commit has made their writes durable — an ack must
-	// never outrun the fsync backing it. Event-loop-goroutine only.
+	// until the commit stage's fsync has made their writes durable — an ack
+	// must never outrun the fsync backing it. Event-loop-goroutine only.
 	wal             *seal.Log
 	walReady        bool
 	walRecovered    bool
@@ -218,23 +210,22 @@ type Node struct {
 	// slices are recycled through small freelists so a steady-state flush
 	// allocates only the packet handed to the transport.
 	bt           netstack.BatchSender // transport's send queue, if it has one
-	pf           netstack.PeerFlusher // per-peer flush, if the transport has one
 	outMu        sync.Mutex
 	outPending   map[string][]authn.BatchItem
 	outOrder     []string // peers in first-queued order
 	outFreeItems [][]authn.BatchItem
 	outFreeOrder [][]string
 
-	// pipe is the staged data plane (nil = inline single-threaded plane).
-	// See pipeline.go for the stage layout and ownership contract.
-	pipe *pipeline
+	// commitCh is the commit stage's queue (nil on memory-only nodes). See
+	// commit.go for the handoff and ownership contract.
+	commitCh chan commitReq
 	// iterAppends counts WAL appends since the last commit handoff.
 	// Atomic: most appends come from the event loop applying protocol
 	// commands, but migration sweeps (Store.DropIf) and recovery merges
 	// reach the mutation sink from other goroutines.
 	iterAppends atomic.Int64
-	// replyFree recycles deferred-reply slices across loop iterations when
-	// the commit stage owns sending them.
+	// replyFree recycles deferred-reply slices between the loop and the
+	// commit stage, which owns sending them.
 	replyFreeMu sync.Mutex
 	replyFree   [][]deferredReply
 
@@ -327,7 +318,6 @@ func NewNode(e *tee.Enclave, tr netstack.Transport, proto Protocol, cfg NodeConf
 		outPending:  make(map[string][]authn.BatchItem),
 	}
 	n.bt, _ = tr.(netstack.BatchSender)
-	n.pf, _ = tr.(netstack.PeerFlusher)
 	if cfg.HeartbeatEveryTicks > 0 {
 		n.mem = newMemberDriver(n.id, n.peers, cfg)
 	}
@@ -370,11 +360,7 @@ func NewNode(e *tee.Enclave, tr netstack.Transport, proto Protocol, cfg NodeConf
 			return nil, fmt.Errorf("node %s: durability: %w", n.id, err)
 		}
 		n.wal = wal
-	}
-	// After the WAL: the pipeline's commit stage exists only for durable
-	// nodes, so it must see the final n.wal.
-	if w := pipelineWorkerCount(cfg); w > 0 {
-		n.pipe = newPipeline(n, w)
+		n.commitCh = make(chan commitReq, commitQueueDepth)
 	}
 	return n, nil
 }
@@ -492,26 +478,10 @@ func (n *Node) Enclave() *tee.Enclave { return n.enclave }
 // Stats returns the node's authn-boundary counters.
 func (n *Node) Stats() *Stats { return &n.stats }
 
-// Pipelined reports whether this node runs the staged multi-core data plane
-// (and with how many workers per stage); (false, 0) means the inline
-// single-threaded plane.
-func (n *Node) Pipelined() (bool, int) {
-	if n.pipe == nil {
-		return false, 0
-	}
-	return true, n.pipe.workers
-}
-
-// PipelineDepths returns an instantaneous snapshot of the staged plane's
-// queue depths (all zero on the inline plane). Together with
-// Stats.PipelineStalls this makes overload observable: a stage pinned at its
-// queue bound is the bottleneck.
-func (n *Node) PipelineDepths() PipelineDepths {
-	if n.pipe == nil {
-		return PipelineDepths{}
-	}
-	return n.pipe.depths()
-}
+// CommitDepth returns how many loop iterations are queued for the commit
+// stage's fsync (a gauge; always zero on memory-only nodes). Together with
+// Stats.PipelineStalls it shows whether the disk keeps up.
+func (n *Node) CommitDepth() int { return len(n.commitCh) }
 
 // OverflowDrops returns how many authenticated messages the authn layer
 // discarded because a channel's future buffer was full. The batch verify
@@ -774,15 +744,17 @@ const maxLoopDrain = 256
 
 func (n *Node) run() {
 	defer close(n.doneCh)
-	if n.pipe != nil {
-		// Staged data plane: ingress workers feed verified messages to this
-		// loop, egress workers and the commit stage take work off it. The
-		// stages drain and join before doneCh closes, so Stop's WAL close (or
-		// Crash's abandon) never races an in-flight stage.
-		defer n.pipe.shutdown()
-		n.pipe.start()
-		n.runPipelined()
-		return
+	if n.commitCh != nil {
+		// The committer drains and exits before doneCh closes, so Stop's WAL
+		// close (or Crash's abandon) never races an in-flight fsync. Replies
+		// whose fsync completes still go out; ones never queued are dropped
+		// with the node (clients retry elsewhere).
+		committed := make(chan struct{})
+		go n.committer(committed)
+		defer func() {
+			close(n.commitCh)
+			<-committed
+		}()
 	}
 	ticker := time.NewTicker(n.cfg.TickEvery)
 	defer ticker.Stop()
@@ -815,61 +787,6 @@ func (n *Node) run() {
 	}
 }
 
-// runPipelined is the protocol loop of the staged data plane: identical
-// protocol semantics, but packets arrive pre-verified (decode + MAC check +
-// decrypt already done by the ingress stage, in per-channel order) and the
-// expensive halves of flushBatch leave through the egress and commit stages.
-// Everything the Protocol interface can observe still happens on this one
-// goroutine.
-func (n *Node) runPipelined() {
-	ticker := time.NewTicker(n.cfg.TickEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.stopCh:
-			return
-		case m := <-n.pipe.verified:
-			if !m.enq.IsZero() {
-				n.phase.queueWait.RecordSince(m.enq)
-			}
-			n.dispatchWire(m.from, m.w)
-			n.drainPipelined(maxLoopDrain - 1)
-		case cmd := <-n.submitCh:
-			n.dispatchCommand(cmd)
-			n.drainPipelined(maxLoopDrain - 1)
-		case <-ticker.C:
-			n.proto.Tick()
-			n.flushFutures()
-			if n.mem != nil {
-				n.memTick()
-			}
-			if n.al != nil {
-				n.adaptTick()
-			}
-		}
-		n.flushBatch()
-	}
-}
-
-// drainPipelined is drainBatch for the staged plane: it consumes verified
-// messages and submitted commands, never the raw inbox (the ingress
-// dispatcher owns that).
-func (n *Node) drainPipelined(budget int) {
-	for ; budget > 0; budget-- {
-		select {
-		case m := <-n.pipe.verified:
-			if !m.enq.IsZero() {
-				n.phase.queueWait.RecordSince(m.enq)
-			}
-			n.dispatchWire(m.from, m.w)
-		case cmd := <-n.submitCh:
-			n.dispatchCommand(cmd)
-		default:
-			return
-		}
-	}
-}
-
 // drainBatch opportunistically consumes up to budget more queued packets and
 // commands without blocking, so a burst is dispatched within one iteration
 // and every message it produces coalesces into shared envelopes and packets.
@@ -890,107 +807,20 @@ func (n *Node) drainBatch(budget int) {
 }
 
 // flushBatch ends one event-loop iteration: batching protocols emit their
-// deferred messages, then — with durability on — the WAL group-commits
-// (every mutation the iteration applied shares one fsync, riding the same
-// batch cadence that coalesces envelopes; clean iterations skip it) BEFORE
-// the parked client replies go out, so an acknowledgement never outruns the
-// fsync backing it. Peer traffic then flushes as batched envelopes.
+// deferred messages, then — with durability on — the iteration's parked
+// client replies go to the commit stage, which group-commits every mutation
+// the iteration applied in one fsync before sending them, so an
+// acknowledgement never outruns the fsync backing it. Peer traffic then
+// flushes as batched envelopes.
 func (n *Node) flushBatch() {
 	if bf, ok := n.proto.(BatchFlusher); ok {
 		bf.FlushBatch()
 	}
 	n.publishStatus()
-	if n.wal != nil && n.pipe != nil {
+	if n.wal != nil {
 		n.handoffCommit()
-	} else if n.wal != nil {
-		if err := n.wal.Commit(); err != nil {
-			// Same contract as a failed append: an ack must never outrun its
-			// fsync, and a commit that cannot happen means the iteration's
-			// writes are not durable. Withhold the acks and crash-stop.
-			n.cfg.Logf("node %s: wal commit failed, crash-stopping: %v", n.id, err)
-			n.walBroken.Store(true)
-			n.dumpTrace("wal commit failed")
-			n.enclave.Crash()
-		}
-		if n.walBroken.Load() {
-			n.dropDeferredReplies()
-		} else {
-			n.flushDeferredReplies()
-			if n.wal.ShouldSnapshot() && n.snapInFlight.CompareAndSwap(false, true) {
-				// Checkpoint off-loop: the O(store) dump+seal+fsync must not
-				// stall ticks, heartbeats, or the apply path. WriteSnapshot
-				// holds the log's lock only to stamp and rotate; appends keep
-				// flowing into a fresh segment meanwhile.
-				go func() {
-					defer n.snapInFlight.Store(false)
-					if err := n.Checkpoint(); err != nil {
-						n.cfg.Logf("node %s: checkpoint: %v", n.id, err)
-					}
-				}()
-			}
-		}
 	}
 	n.flushOutbound()
-}
-
-// handoffCommit ends a pipelined iteration's durability work: the parked
-// client replies travel to the commit stage, whose goroutine runs the
-// overlapped WAL fsync (seal.Log.Sync) and only then sends them — the
-// ack-after-fsync contract, preserved off-loop. Iterations that neither
-// appended nor parked replies skip the handoff entirely. The automatic
-// checkpoint trigger stays on the loop (WriteSnapshot coordinates with the
-// commit stage through the log's own locking).
-func (n *Node) handoffCommit() {
-	if n.iterAppends.Swap(0) > 0 || len(n.deferredReplies) > 0 {
-		replies := n.deferredReplies
-		n.deferredReplies = n.takeReplySlice()
-		n.pipe.submitCommit(commitReq{replies: replies})
-	}
-	if !n.walBroken.Load() && n.wal.ShouldSnapshot() && n.snapInFlight.CompareAndSwap(false, true) {
-		go func() {
-			defer n.snapInFlight.Store(false)
-			if err := n.Checkpoint(); err != nil {
-				n.cfg.Logf("node %s: checkpoint: %v", n.id, err)
-			}
-		}()
-	}
-}
-
-// takeReplySlice returns a recycled deferred-reply slice (or nil).
-func (n *Node) takeReplySlice() []deferredReply {
-	n.replyFreeMu.Lock()
-	defer n.replyFreeMu.Unlock()
-	if k := len(n.replyFree); k > 0 {
-		s := n.replyFree[k-1]
-		n.replyFree = n.replyFree[:k-1]
-		return s
-	}
-	return nil
-}
-
-// putReplySlice hands a consumed deferred-reply slice back for reuse.
-func (n *Node) putReplySlice(s []deferredReply) {
-	if cap(s) == 0 {
-		return
-	}
-	for i := range s {
-		s[i] = deferredReply{}
-	}
-	n.replyFreeMu.Lock()
-	if len(n.replyFree) < maxOutFreelist {
-		n.replyFree = append(n.replyFree, s[:0])
-	}
-	n.replyFreeMu.Unlock()
-}
-
-// dropDeferredReplies discards the iteration's parked client replies
-// unsent: their writes could not be made durable, so the clients must not
-// observe acknowledgements (they will retry against the surviving replicas).
-func (n *Node) dropDeferredReplies() {
-	for i := range n.deferredReplies {
-		n.deferredReplies[i] = deferredReply{}
-	}
-	n.deferredReplies = n.deferredReplies[:0]
 }
 
 // handlePacket splits coalesced transport packets and processes each frame.
@@ -1054,9 +884,7 @@ func (n *Node) handleFrame(from string, data []byte) {
 }
 
 // countVerifyError maps one Verify failure onto its drop counter, with the
-// stale-epoch side effect of telling a lagging client the current map. Every
-// counter is atomic and sendEpochNotice is thread-safe, so the inline path
-// and the ingress stage workers share this unchanged.
+// stale-epoch side effect of telling a lagging client the current map.
 func (n *Node) countVerifyError(channel, from string, err error) {
 	switch {
 	case errors.Is(err, authn.ErrReplay):
@@ -1457,13 +1285,6 @@ func (n *Node) flushOutbound() {
 		if len(items) == 0 {
 			continue
 		}
-		if n.pipe != nil {
-			// Staged plane: the peer's egress worker seals, encodes, sends,
-			// and recycles. Hashing by peer keeps one worker per channel, so
-			// the channel's counter order is the worker's processing order.
-			n.pipe.submitEgress(egressJob{to: to, items: items})
-			continue
-		}
 		n.sealAndSend(to, items)
 		n.releaseItems(items)
 	}
@@ -1477,11 +1298,9 @@ func (n *Node) flushOutbound() {
 
 // sealAndSend seals one peer's coalesced items into batched envelopes (one
 // MAC and one enclave transition per MaxBatch-sized chunk) and hands the
-// encoded packets to the transport. Callable from the event loop (inline
-// plane) or from the peer's egress worker (staged plane): the shielder's
-// channel table and the transport queue are both thread-safe, and only one
-// goroutine ever seals for a given peer, preserving the channel's counter
-// order on the wire.
+// encoded packets to the transport. The shielder's channel table and the
+// transport queue are both thread-safe, so off-loop flushers (recovery, join
+// announcements) may call it too.
 func (n *Node) sealAndSend(to string, items []authn.BatchItem) {
 	if n.phase.egressSeal != nil {
 		start := time.Now()
@@ -1540,55 +1359,25 @@ func (n *Node) releaseItems(items []authn.BatchItem) {
 const maxOutFreelist = 64
 
 // flushTransport flushes the transport's per-peer packet queue, which may
-// hold raw (native-mode) sends queued directly via qsend. On the staged
-// plane it is a no-op: each egress worker flushes its own peers (flushPeer),
-// so a whole-queue flush here would only interleave with them.
+// hold raw (native-mode) sends queued directly via qsend.
 func (n *Node) flushTransport() {
-	if n.pipe != nil {
-		return
-	}
 	if !n.qsendCopies() {
 		_ = n.bt.Flush()
 	}
 }
 
-// flushPeer flushes one peer's queued packets, used by egress workers after
-// sealing a batch for that peer. Per-peer flushing keeps each worker's
-// network writes ordered and contention-free; transports without the
-// extension fall back to a whole-queue flush.
-func (n *Node) flushPeer(to string) {
-	if n.qsendCopies() {
-		return // nothing queued: qsend used the copying Send directly
-	}
-	if n.pf != nil {
-		_ = n.pf.FlushPeer(to)
-		return
-	}
-	_ = n.bt.Flush()
-}
-
 // sendToClient ships a reply to a client. With durability on, the reply is
-// deferred to the end of the event-loop iteration, after the WAL group
-// commit: the mutations backing it must be fsynced before the client can
-// observe an acknowledgement, or a power loss could forget an acked write.
-// Memory-only nodes (and out-of-loop callers, which have no pending WAL
-// batch) send immediately. Event-loop goroutine only when wal != nil.
+// parked until the end of the event-loop iteration and sent by the commit
+// stage after the WAL group commit: the mutations backing it must be
+// fsynced before the client can observe an acknowledgement, or a power loss
+// could forget an acked write. Memory-only nodes send immediately.
+// Event-loop goroutine only when wal != nil.
 func (n *Node) sendToClient(cmd Command, w *Wire) {
 	if n.wal != nil {
 		n.deferredReplies = append(n.deferredReplies, deferredReply{cmd: cmd, w: w})
 		return
 	}
 	n.sendToClientNow(cmd, w)
-}
-
-// flushDeferredReplies transmits the iteration's parked client replies,
-// after the WAL commit has made the writes behind them durable.
-func (n *Node) flushDeferredReplies() {
-	for i := range n.deferredReplies {
-		n.sendToClientNow(n.deferredReplies[i].cmd, n.deferredReplies[i].w)
-		n.deferredReplies[i] = deferredReply{}
-	}
-	n.deferredReplies = n.deferredReplies[:0]
 }
 
 // sendToClientNow shields a reply onto the client's directional channel.

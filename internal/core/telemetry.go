@@ -12,10 +12,11 @@ import (
 // by whoever drives the client (the harness); everything here is node-side.
 const (
 	// MetricPhaseIngressVerify times the authn decode+MAC-verify of one
-	// inbound envelope (pipeline ingress worker, or inline on the loop).
+	// inbound envelope on the protocol loop.
 	MetricPhaseIngressVerify = "recipe_phase_ingress_verify_ns"
-	// MetricPhaseQueueWait times a verified message's dwell in the staged
-	// plane's verified queue before the protocol loop picks it up.
+	// MetricPhaseQueueWait times one loop iteration's dwell in the commit
+	// queue before the committer picks it up (durable nodes only; nothing
+	// records on memory-only nodes).
 	MetricPhaseQueueWait = "recipe_phase_queue_wait_ns"
 	// MetricPhaseEgressSeal times sealing one peer's coalesced batch into
 	// envelopes and handing it to the transport.
@@ -47,7 +48,7 @@ type PhaseEnv interface {
 
 // initTelemetry builds the node's registry, phase histograms, and flight
 // recorder, and registers the pre-existing counters behind it. Called from
-// NewNode before the WAL and pipeline are built (both take histograms).
+// NewNode before the WAL is built (it takes the fsync histogram).
 func (n *Node) initTelemetry() {
 	if n.cfg.DisableTelemetry {
 		return
@@ -57,7 +58,7 @@ func (n *Node) initTelemetry() {
 	n.ring = telemetry.NewTraceRing(0)
 
 	n.phase.ingressVerify = r.Histogram(MetricPhaseIngressVerify, "authn decode+verify latency of one inbound envelope (ns)")
-	n.phase.queueWait = r.Histogram(MetricPhaseQueueWait, "verified-queue dwell before the protocol loop (ns)")
+	n.phase.queueWait = r.Histogram(MetricPhaseQueueWait, "commit-queue dwell before the committer (ns)")
 	n.phase.egressSeal = r.Histogram(MetricPhaseEgressSeal, "seal+encode+hand-off latency of one outbound batch (ns)")
 	n.phase.walFsync = r.Histogram(MetricPhaseWALFsync, "sealed-WAL fsync latency per group commit (ns)")
 	r.Histogram(MetricPhaseRaftCommitLag, "leader append to commit apply per command (ns)")
@@ -73,7 +74,7 @@ func (n *Node) initTelemetry() {
 	r.CounterFunc("recipe_drop_epoch_total", "stale-configuration-epoch messages rejected", n.stats.DropEpoch.Load)
 	r.CounterFunc("recipe_drop_malformed_total", "undecodable packets", n.stats.DropMalformed.Load)
 	r.CounterFunc("recipe_drop_rollback_total", "sealed recoveries rejected (rollback/fork/tamper)", n.stats.DropRollback.Load)
-	r.CounterFunc("recipe_pipeline_stalls_total", "stage handoffs that blocked on a full queue", n.stats.PipelineStalls.Load)
+	r.CounterFunc("recipe_pipeline_stalls_total", "commit handoffs that blocked on a full commit queue", n.stats.PipelineStalls.Load)
 	r.CounterFunc("recipe_reads_local_total", "reads served locally under an active lease", n.stats.LocalReads.Load)
 	r.CounterFunc("recipe_reads_replica_total", "clean reads served by a non-coordinator replica", n.stats.ReplicaReads.Load)
 	r.CounterFunc("recipe_lease_fallbacks_total", "local reads detoured to consensus on lease expiry", n.stats.LeaseFallbacks.Load)
@@ -90,19 +91,8 @@ func (n *Node) initTelemetry() {
 			return float64(h)
 		})
 	}
-	// The pipeline is built after telemetry (it needs the histograms), so
-	// the depth closures must tolerate n.pipe staying nil (inline plane).
-	r.GaugeFunc("recipe_pipeline_depth_ingress", "ingress-stage backlog (envelopes awaiting verify)", func() float64 {
-		return float64(n.PipelineDepths().Ingress)
-	})
-	r.GaugeFunc("recipe_pipeline_depth_verified", "verified-queue backlog awaiting the protocol loop", func() float64 {
-		return float64(n.PipelineDepths().Verified)
-	})
-	r.GaugeFunc("recipe_pipeline_depth_egress", "egress-stage backlog (batches awaiting seal+send)", func() float64 {
-		return float64(n.PipelineDepths().Egress)
-	})
 	r.GaugeFunc("recipe_pipeline_depth_commit", "loop iterations awaiting their group-commit fsync", func() float64 {
-		return float64(n.PipelineDepths().Commit)
+		return float64(n.CommitDepth())
 	})
 }
 

@@ -75,11 +75,6 @@ type Options struct {
 	// node default of 64; 1 = per-message envelopes, the batching-off
 	// baseline used by the benchmarks).
 	MaxBatch int
-	// PipelineWorkers sets each shielded node's staged data-plane width
-	// (core.NodeConfig.PipelineWorkers): 0 = auto (inline single-threaded at
-	// GOMAXPROCS=1, staged otherwise), -1 = force inline, N>=1 = N ingress
-	// and N egress workers.
-	PipelineWorkers int
 	// ReadPolicy selects how OpGet is served (core.ReadPolicy), applied to
 	// every node and every client the cluster builds. Zero value =
 	// lease-local.
@@ -517,7 +512,6 @@ func (g *Group) buildNode(id string, resume bool) (*core.Node, error) {
 		TickEvery:           c.opts.TickEvery,
 		LeaderLeaseTicks:    c.opts.LeaderLeaseTicks,
 		MaxBatch:            c.opts.MaxBatch,
-		PipelineWorkers:     c.opts.PipelineWorkers,
 		HeartbeatEveryTicks: c.opts.HeartbeatEveryTicks,
 		SuspicionMult:       c.opts.SuspicionMult,
 		AdmissionRate:       c.opts.AdmissionRate,

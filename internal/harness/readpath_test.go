@@ -218,14 +218,13 @@ loop:
 	}
 }
 
-// TestLeaseChurnUnderPipelinedTraffic: aggressively short leases renew and
-// expire continuously under pipelined multi-core traffic. The CI -race leg
-// runs this to shake out unsynchronized access between the lease table, the
-// protocol loop, and the ingress/egress stages.
-func TestLeaseChurnUnderPipelinedTraffic(t *testing.T) {
+// TestLeaseChurnUnderTraffic: aggressively short leases renew and expire
+// continuously under concurrent client traffic. The CI -race leg runs this
+// to shake out unsynchronized access between the lease table, the protocol
+// loop, and the clients' session caches.
+func TestLeaseChurnUnderTraffic(t *testing.T) {
 	opts := fastOpts(Raft, true)
 	opts.LeaderLeaseTicks = 2
-	opts.PipelineWorkers = 2
 	opts.ReadPolicy = core.ReadAnyClean
 	opts.SessionCache = 16
 	c := startCluster(t, opts)

@@ -12,18 +12,18 @@ import (
 	"recipe/internal/workload"
 )
 
-// A pipelined durable R-Raft cluster must record every phase of a write's
-// life, and the node-side phase timings must be consistent with the client
-// round trip they decompose: each server phase is a slice of (or overlaps)
-// the round trip, so no phase mean exceeds the round-trip mean wildly and
-// the phases together account for a visible share of it.
+// A durable R-Raft cluster must record every phase of a write's life —
+// queue wait included, since every ack crosses the commit stage — and the
+// node-side phase timings must be consistent with the client round trip
+// they decompose: each server phase is a slice of (or overlaps) the round
+// trip, so no phase mean exceeds the round-trip mean wildly and the phases
+// together account for a visible share of it.
 func TestPhaseTimingsExplainRoundTrip(t *testing.T) {
 	c, err := New(Options{
-		Protocol:        Raft,
-		Shielded:        true,
-		Durability:      true,
-		PipelineWorkers: 2, // force the staged plane so queue-wait records even at GOMAXPROCS=1
-		Seed:            42,
+		Protocol:   Raft,
+		Shielded:   true,
+		Durability: true,
+		Seed:       42,
 	})
 	if err != nil {
 		t.Fatal(err)

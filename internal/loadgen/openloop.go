@@ -262,14 +262,17 @@ func execOp(cli *core.Client, op workload.Op) (core.Result, error) {
 }
 
 // spinThreshold is the final stretch before an arrival's due time where the
-// worker stops trusting the sleeper (timer granularity can overshoot by
-// hundreds of microseconds) and yields its way to the deadline instead.
-const spinThreshold = 200 * time.Microsecond
+// worker stops sleeping and yields its way to the deadline instead. A sleep
+// ending inside the last millisecond or so overshoots by about a
+// millisecond (measured on a 2-CPU Linux host), so the stretch must be
+// wider than that.
+const spinThreshold = 5 * time.Millisecond
 
 // sleepUntil parks until due: coarse sleep to just short of it, then
-// yield-spin across the last stretch. Arrivals already past due (backlog)
-// return immediately — their lateness is the intended-latency signal, not
-// something to re-schedule.
+// yield-spin across the last stretch — yielding lets other goroutines run on
+// this processor, so only idle time is spun. Arrivals already past due
+// (backlog) return immediately — their lateness is the intended-latency
+// signal, not something to re-schedule.
 func sleepUntil(due time.Time) {
 	for {
 		d := time.Until(due)
@@ -278,8 +281,6 @@ func sleepUntil(due time.Time) {
 			return
 		case d > spinThreshold:
 			time.Sleep(d - spinThreshold)
-		case d > 50*time.Microsecond:
-			time.Sleep(50 * time.Microsecond)
 		default:
 			runtime.Gosched()
 		}

@@ -42,17 +42,6 @@ type BatchSender interface {
 	Flush() error
 }
 
-// PeerFlusher is the optional extension for flushing one peer's queued sends
-// without taking every other peer's traffic along. An egress stage that owns
-// a peer (all sends to that peer funnel through one goroutine) can flush it
-// contention-free and in order; concurrent FlushPeer calls for different
-// peers never serialise on each other's network writes.
-type PeerFlusher interface {
-	// FlushPeer transmits the named peer's queued buffers, coalescing runs
-	// exactly as Flush does. Other peers' queues are untouched.
-	FlushPeer(to string) error
-}
-
 // frameMagic marks a multiframe packet ("RCPB").
 const frameMagic uint32 = 0x52435042
 

@@ -1,9 +1,6 @@
 package netstack
 
-import (
-	"crypto/sha256"
-	"sync/atomic"
-)
+import "recipe/internal/tee"
 
 // StackKind names the five network stacks compared in Fig 6b.
 type StackKind int
@@ -81,23 +78,5 @@ var Stacks = map[StackKind]StackModel{
 // Charge performs the stack's per-message work for a payload of n bytes.
 func (m StackModel) Charge(n int) {
 	kb := (n + 1023) / 1024
-	burn(m.BaseUnits + kb*m.PerKBUnits)
-}
-
-var burnBlock [64]byte
-
-// burnSink defeats dead-code elimination; atomic because every node's event
-// loop burns concurrently.
-var burnSink atomic.Uint32
-
-func burn(n int) {
-	if n <= 0 {
-		return
-	}
-	b := burnBlock
-	for i := 0; i < n; i++ {
-		s := sha256.Sum256(b[:])
-		copy(b[:], s[:])
-	}
-	burnSink.Store(uint32(b[0]))
+	tee.Burn(m.BaseUnits + kb*m.PerKBUnits)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Packet is one message in flight on the fabric.
@@ -187,7 +186,6 @@ type Endpoint struct {
 var (
 	_ Transport   = (*Endpoint)(nil)
 	_ BatchSender = (*Endpoint)(nil)
-	_ PeerFlusher = (*Endpoint)(nil)
 )
 
 // Addr returns the endpoint address.
@@ -238,37 +236,6 @@ func (e *Endpoint) Flush() error {
 	return flushQueue(&e.mu, &e.queue, false, func(to string, pkt []byte) error {
 		return e.fabric.send(Packet{From: e.addr, To: to, Data: pkt})
 	})
-}
-
-// FlushPeer implements PeerFlusher: it transmits only the named peer's
-// queued buffers. The peer's entry in the flush order is left behind and
-// skipped (empty) by the next full Flush.
-func (e *Endpoint) FlushPeer(to string) error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	frames := e.queue.takePeer(to)
-	flushHist := e.queue.flushHist
-	e.mu.Unlock()
-	if len(frames) == 0 {
-		return nil
-	}
-	var flushStart time.Time
-	if flushHist != nil {
-		flushStart = time.Now()
-	}
-	err := flushRuns(frames, false, func(pkt []byte) error {
-		return e.fabric.send(Packet{From: e.addr, To: to, Data: pkt})
-	})
-	if !flushStart.IsZero() {
-		flushHist.RecordSince(flushStart)
-	}
-	e.mu.Lock()
-	e.queue.releaseFrames(frames)
-	e.mu.Unlock()
-	return err
 }
 
 // Inbox returns the endpoint's delivery channel.

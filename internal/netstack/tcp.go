@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"recipe/internal/bufpool"
 )
@@ -30,7 +29,6 @@ type TCPTransport struct {
 var (
 	_ Transport   = (*TCPTransport)(nil)
 	_ BatchSender = (*TCPTransport)(nil)
-	_ PeerFlusher = (*TCPTransport)(nil)
 )
 
 // maxTCPFrame bounds accepted frame sizes.
@@ -126,36 +124,6 @@ func (t *TCPTransport) Flush() error {
 	// sendConsumes=true: Send copies into its own pooled framing before
 	// writing, so every queued buffer is recycled by the flush.
 	return flushQueue(&t.mu, &t.queue, true, t.Send)
-}
-
-// FlushPeer implements PeerFlusher: it transmits only the named peer's
-// queued buffers, coalescing runs exactly as Flush does.
-func (t *TCPTransport) FlushPeer(to string) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return ErrClosed
-	}
-	frames := t.queue.takePeer(to)
-	flushHist := t.queue.flushHist
-	t.mu.Unlock()
-	if len(frames) == 0 {
-		return nil
-	}
-	var flushStart time.Time
-	if flushHist != nil {
-		flushStart = time.Now()
-	}
-	err := flushRuns(frames, true, func(pkt []byte) error {
-		return t.Send(to, pkt)
-	})
-	if !flushStart.IsZero() {
-		flushHist.RecordSince(flushStart)
-	}
-	t.mu.Lock()
-	t.queue.releaseFrames(frames)
-	t.mu.Unlock()
-	return err
 }
 
 // Close stops the listener, closes connections, and closes the inbox.

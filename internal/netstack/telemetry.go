@@ -5,7 +5,7 @@ import (
 )
 
 // Instrumented is the optional transport extension for attaching latency
-// telemetry to the per-peer send queue. Like BatchSender/PeerFlusher, the
+// telemetry to the per-peer send queue. Like BatchSender, the
 // node discovers it by type assertion, so transports without a queue simply
 // don't implement it.
 type Instrumented interface {

@@ -342,9 +342,9 @@ func chainNext(root [32]byte, sealed []byte) [32]byte {
 }
 
 // Commit makes everything appended so far durable (fsync) and registers the
-// chain position at the registrar. It is the group-commit point: the node
-// calls it once per event-loop iteration, so a burst of applies shares one
-// fsync. A clean log is a no-op.
+// chain position at the registrar, holding the log's lock throughout (Sync
+// is the overlapped variant the node's commit stage uses). A clean log is a
+// no-op.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -385,7 +385,7 @@ func (l *Log) waitSyncLocked() {
 
 // registerLocked anchors a chain position at the registrar, skipping
 // positions at or below the last registration (registrars are monotonic, and
-// an overlapped Sync may finish after a newer inline commit already
+// an overlapped Sync may finish after a newer locked commit already
 // registered past its capture).
 func (l *Log) registerLocked(counter uint64, root [32]byte) error {
 	if l.reg == nil || counter <= l.lastReg {
@@ -402,9 +402,9 @@ func (l *Log) registerLocked(counter uint64, root [32]byte) error {
 // the call durable and registers the covered chain position, holding the
 // log's lock only to capture and publish state — the fsync itself runs
 // off-lock, so appends keep flowing into the segment while the disk works.
-// The node's pipelined commit stage calls it from a dedicated goroutine;
-// Commit keeps the fully-locked inline semantics. Records appended while the
-// fsync is in flight stay dirty and are covered by the next Sync or Commit.
+// The node's commit stage calls it from a dedicated goroutine; Commit keeps
+// the fully-locked semantics. Records appended while the fsync is in flight
+// stay dirty and are covered by the next Sync or Commit.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	l.waitSyncLocked()

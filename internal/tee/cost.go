@@ -54,7 +54,7 @@ func DefaultCostModel() CostModel {
 func NativeCostModel() CostModel { return CostModel{} }
 
 // ChargeTransition performs the work of one enclave world switch.
-func (c CostModel) ChargeTransition() { burn(c.TransitionUnits) }
+func (c CostModel) ChargeTransition() { Burn(c.TransitionUnits) }
 
 // ChargeEPC performs paging work for adding delta bytes when the working set
 // (resident) is above the modelled EPC limit.
@@ -63,7 +63,7 @@ func (c CostModel) ChargeEPC(resident int64, delta int) {
 		return
 	}
 	kb := (delta + 1023) / 1024
-	burn(kb * c.PagingUnitsPerKB)
+	Burn(kb * c.PagingUnitsPerKB)
 }
 
 // ChargeConfidential performs the staging/encryption work of moving n bytes
@@ -73,7 +73,7 @@ func (c CostModel) ChargeConfidential(n int) {
 		return
 	}
 	kb := (n + 1023) / 1024
-	burn(c.ConfBaseUnits + kb*c.ConfPerKBUnits)
+	Burn(c.ConfBaseUnits + kb*c.ConfPerKBUnits)
 }
 
 // Zero reports whether the model charges no costs at all.
@@ -83,9 +83,11 @@ func (c CostModel) Zero() bool {
 
 var burnBlock [64]byte
 
-// burn performs n SHA-256 compressions. The result feeds back into the input
-// block so the compiler cannot elide the loop.
-func burn(n int) {
+// Burn performs n SHA-256 compressions — the unit of simulated hardware work
+// every cost model charges (this one and netstack's stack models). The
+// result feeds back into the input block so the compiler cannot elide the
+// loop.
+func Burn(n int) {
 	if n <= 0 {
 		return
 	}
@@ -97,6 +99,6 @@ func burn(n int) {
 	burnSink.Store(uint32(b[0]))
 }
 
-// burnSink defeats dead-code elimination of burn's work; atomic because
+// burnSink defeats dead-code elimination of Burn's work; atomic because
 // every node's event loop burns concurrently.
 var burnSink atomic.Uint32

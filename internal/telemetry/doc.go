@@ -20,7 +20,7 @@
 // Registry unifies a process's metrics behind one named interface. New
 // metrics use the typed Counter/Gauge/Histogram handles; the counters that
 // already exist across the codebase (authn drop counters, read-path
-// counters, pipeline stall/depth gauges, WAL counters) register as
+// counters, commit-queue stall/depth gauges, WAL counters) register as
 // CounterFunc/GaugeFunc closures over their existing atomics, so the hot
 // paths that increment them are untouched. Export produces a merged-able
 // point set; WriteText emits Prometheus text exposition format (the

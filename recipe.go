@@ -126,13 +126,6 @@ type Options struct {
 	DataDir string
 	// TickEvery overrides the protocol tick cadence.
 	TickEvery time.Duration
-	// PipelineWorkers sets each replica's staged data-plane width: how many
-	// ingress (verify/decrypt) and egress (seal/send) workers surround the
-	// single-threaded protocol core. 0 = auto (inline on a single-core
-	// machine, one worker per core up to 8 otherwise), -1 = force the
-	// inline single-threaded plane, N>=1 = exactly N workers per side.
-	// Ignored for Native clusters, which have no crypto boundary to stage.
-	PipelineWorkers int
 	// ReadPolicy selects how reads are served (default ReadLeaseLocal). See
 	// the "Read path" section of ARCHITECTURE.md for the trust argument and
 	// docs/operations.md for tuning guidance.
@@ -209,7 +202,6 @@ func newClusterWithFactory(opts Options, factory func(replica int) CustomProtoco
 		Durability:          opts.Durability,
 		DataDir:             opts.DataDir,
 		TickEvery:           opts.TickEvery,
-		PipelineWorkers:     opts.PipelineWorkers,
 		ReadPolicy:          opts.ReadPolicy,
 		SessionCache:        opts.SessionCache,
 		SelfManage:          opts.SelfManage,
@@ -372,11 +364,10 @@ type SecurityStats struct {
 	// and chain root registered at the CAS. The replica refuses the state
 	// and rebuilds through state transfer instead.
 	RejectedRollback uint64
-	// PipelineStalls counts data-plane stage handoffs that found their
-	// queue full and had to wait (backpressure events in the staged
-	// ingress/egress/commit pipeline, not drops — no message is lost). A
-	// steadily climbing count means a stage is saturated; see
-	// Cluster.PipelineDepths for which one.
+	// PipelineStalls counts loop iterations whose handoff to the durable
+	// commit stage found its queue full and had to wait (backpressure, not
+	// drops — no reply is lost). A steadily climbing count means the WAL
+	// fsync is saturated; Cluster.CommitDepth shows the standing backlog.
 	PipelineStalls uint64
 	// Suspicions counts peers newly suspected by the failure detectors
 	// (SelfManage / HeartbeatEveryTicks): each is a replica that missed its
@@ -488,23 +479,15 @@ func (c *Cluster) TraceEvents(node string) []telemetry.Event {
 	return c.inner.TraceEvents(node)
 }
 
-// PipelineDepths sums the instantaneous staged data-plane queue depths
-// across replicas (zero everywhere when the plane runs inline). These are
-// gauges: sampled under load they show which stage a saturated cluster is
-// waiting on — ingress (verify), verified (the protocol core itself),
-// egress (seal/send), or commit (WAL fsync).
-func (c *Cluster) PipelineDepths() core.PipelineDepths {
-	var d core.PipelineDepths
+// CommitDepth sums, across replicas, the loop iterations queued for their
+// group-commit fsync (zero without Durability). It is a gauge: a backlog
+// that stands under load means the disk, not the protocol, is the limit.
+func (c *Cluster) CommitDepth() int {
+	d := 0
 	for _, id := range c.inner.Order {
-		n, ok := c.inner.Nodes[id]
-		if !ok {
-			continue
+		if n, ok := c.inner.Nodes[id]; ok {
+			d += n.CommitDepth()
 		}
-		nd := n.PipelineDepths()
-		d.Ingress += nd.Ingress
-		d.Verified += nd.Verified
-		d.Egress += nd.Egress
-		d.Commit += nd.Commit
 	}
 	return d
 }
