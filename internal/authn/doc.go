@@ -39,8 +39,9 @@
 // # Hot path and buffer ownership
 //
 // The steady-state non-confidential data plane (seal → encode → decode →
-// verify) is allocation-free apart from the 32-byte MAC tag and the decoded
-// channel-name string. That discipline rests on per-channel reusable state —
+// verify) is allocation-free apart from the 32-byte MAC tag: the receiver's
+// Shielder.DecodeEnvelopeInto hands out the open channel's own name string
+// instead of copying it. That discipline rests on per-channel reusable state —
 // the keyed HMAC schedule is computed once at open and Reset per message,
 // headers serialise into channel-owned scratch buffers — and on an explicit
 // buffer-ownership contract instead of defensive copies:
@@ -56,6 +57,8 @@
 //     buffer, which must stay alive while the envelope is in use — including
 //     while it sits in a channel's out-of-order buffer awaiting gap closure.
 //     (DecodeEnvelope keeps the copying behaviour for callers that retain.)
+//     Shielder.DecodeEnvelopeInto is the same decode with the channel name
+//     taken from the shielder's table when the channel is open.
 //   - Verify: the returned slice is the channel's reusable delivery scratch,
 //     valid only until the next Verify or TickFutures on the same channel.
 //     Consume it synchronously (as the node event loop does) or copy.

@@ -114,6 +114,25 @@ func (e *Envelope) Encode() []byte {
 // bounds-checked against the actual buffer, so hostile input cannot force
 // large allocations or out-of-range reads.
 func DecodeEnvelopeInto(e *Envelope, data []byte) error {
+	name, err := decodeEnvelope(e, data)
+	e.Channel = string(name)
+	return err
+}
+
+// DecodeEnvelopeInto is the receiver's form of the package-level
+// DecodeEnvelopeInto: an envelope on a channel already open at this shielder
+// carries the shielder's own copy of the channel name, so the steady-state
+// decode allocates nothing. A name with no open channel is copied as before
+// (Verify then rejects it as unknown, or the caller opens it first).
+func (s *Shielder) DecodeEnvelopeInto(e *Envelope, data []byte) error {
+	name, err := decodeEnvelope(e, data)
+	e.Channel = s.channelName(name)
+	return err
+}
+
+// decodeEnvelope parses every field but the channel name, which it returns
+// as a view of data for the caller to turn into a string.
+func decodeEnvelope(e *Envelope, data []byte) ([]byte, error) {
 	r := reader{buf: data}
 	e.View = r.uint64()
 	e.Epoch = r.uint64()
@@ -123,16 +142,16 @@ func DecodeEnvelopeInto(e *Envelope, data []byte) error {
 	e.Enc = fl&flagEnc != 0
 	e.Batch = fl&flagBatch != 0
 	e.Group = r.uint32()
-	e.Channel = string(r.view(int(r.uint16())))
+	name := r.view(int(r.uint16()))
 	e.Payload = r.view(int(r.uint32()))
 	e.MAC = r.view(int(r.uint32()))
 	if r.err != nil {
-		return fmt.Errorf("decode envelope: %w", r.err)
+		return name, fmt.Errorf("decode envelope: %w", r.err)
 	}
 	if r.pos != len(data) {
-		return fmt.Errorf("decode envelope: %d trailing bytes", len(data)-r.pos)
+		return name, fmt.Errorf("decode envelope: %d trailing bytes", len(data)-r.pos)
 	}
-	return nil
+	return name, nil
 }
 
 // DecodeEnvelope parses an envelope from wire bytes into an independent

@@ -115,6 +115,7 @@ type sendState struct {
 // reusable MAC/scratch state as sendState plus the delivery machinery.
 type recvState struct {
 	mu    sync.Mutex
+	name  string // the channel's table key, handed out by DecodeEnvelopeInto
 	key   []byte
 	aead  cipher.AEAD
 	mac   hash.Hash
@@ -229,6 +230,7 @@ func (s *Shielder) open(cq string, key []byte, group uint32, loose bool) error {
 		group: group,
 	}
 	s.recv[cq] = &recvState{
+		name:      cq,
 		key:       k,
 		aead:      recvAEAD,
 		mac:       hmac.New(sha256.New, k),
@@ -267,6 +269,18 @@ func (s *Shielder) HasChannel(cq string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.send[cq]
 	return ok
+}
+
+// channelName returns the open channel's own name string for a decoded
+// name, or a copy when no such channel is open.
+func (s *Shielder) channelName(b []byte) string {
+	s.mu.RLock()
+	st, ok := s.recv[string(b)]
+	s.mu.RUnlock()
+	if ok {
+		return st.name
+	}
+	return string(b)
 }
 
 // SetView moves the shielder to a new view (after view change). Per the

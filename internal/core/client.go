@@ -22,7 +22,19 @@ import (
 var (
 	// ErrClientTimeout means no node answered within the retry budget.
 	ErrClientTimeout = errors.New("core: client request timed out")
+	// ErrQuorumTimeout is the Result.Err text of a coordinator that aged out
+	// an operation which never reached a quorum (ABD under a partition or a
+	// crashed peer). Like tee.ErrEnclaveCrashed it reports the answering
+	// replica's failure, not the operation's: the client tries the next
+	// member instead of returning it.
+	ErrQuorumTimeout = errors.New("core: quorum timeout")
 )
+
+// replicaFailed reports whether a result is the answering replica's own
+// failure (see ErrQuorumTimeout) rather than the operation's outcome.
+func replicaFailed(res Result) bool {
+	return !res.OK && (res.Err == tee.ErrEnclaveCrashed.Error() || res.Err == ErrQuorumTimeout.Error())
+}
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
@@ -117,6 +129,13 @@ type Client struct {
 
 	stats      ClientStats
 	opBackoffs int // backoffs taken within the current op (jitter ceiling)
+
+	// sendNames caches each node's request-channel name (it has no
+	// incarnation, so it never goes stale); names interns the principal
+	// names of decoded replies; timer is await's one reusable deadline.
+	sendNames map[string]string
+	names     interner
+	timer     *time.Timer
 }
 
 // ClientStats counts one client's retry and overload events. The client is
@@ -155,10 +174,11 @@ func NewClient(e *tee.Enclave, tr netstack.Transport, cfg ClientConfig) (*Client
 		opts = append(opts, authn.WithConfidentiality())
 	}
 	c := &Client{
-		cfg:      cfg,
-		shielder: authn.NewShielder(e, opts...),
-		tr:       tr,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		cfg:       cfg,
+		shielder:  authn.NewShielder(e, opts...),
+		tr:        tr,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		sendNames: make(map[string]string),
 	}
 
 	var m *reconfig.ShardMap
@@ -204,6 +224,7 @@ func (c *Client) adopt(m *reconfig.ShardMap) error {
 					c.shielder.CloseChannel(replyChannelName(node, old.IncOf(node), c.cfg.ID))
 					if gone {
 						c.shielder.CloseChannel(clientChannel(c.cfg.ID, node))
+						delete(c.sendNames, node)
 					}
 				}
 			}
@@ -415,6 +436,13 @@ func (c *Client) tryGroup(cmd *Command, group int) (Result, tryOutcome) {
 	// await may have adopted a newer map (epoch notice) with fewer groups;
 	// everything below re-checks the group index against the current map.
 	switch {
+	case ok && replicaFailed(res):
+		// The replica answered, but with its own failure (a crashed enclave,
+		// a quorum it could not reach). That is a failed try like a timeout,
+		// only faster, so pause like a failed send before the next member.
+		c.rotate(group)
+		c.backoff(cmd.Op != OpGet)
+		return Result{}, tryRetry
 	case ok:
 		return res, tryOK
 	case busy:
@@ -515,7 +543,7 @@ func (c *Client) send(node string, group int, w *Wire) error {
 		bufpool.Put(payload)
 		return err
 	}
-	env, err := c.shielder.Shield(clientChannel(c.cfg.ID, node), w.Kind, payload)
+	env, err := c.shielder.Shield(c.sendChannel(node), w.Kind, payload)
 	if err != nil {
 		bufpool.Put(payload)
 		return err
@@ -528,13 +556,30 @@ func (c *Client) send(node string, group int, w *Wire) error {
 	return err
 }
 
+// sendChannel returns the name of the client's request channel to node.
+func (c *Client) sendChannel(node string) string {
+	cq, ok := c.sendNames[node]
+	if !ok {
+		cq = clientChannel(c.cfg.ID, node)
+		c.sendNames[node] = cq
+	}
+	return cq
+}
+
 // await waits for the response to request seq from the given group,
 // returning the result, or a redirect target, or a busy signal (the op was
 // shed by the admission gate — retriable), or none of those on timeout.
 // Epoch notices arriving meanwhile refresh the routing table and end the
 // attempt.
 func (c *Client) await(seq uint64, group int) (res Result, redirect string, busy, ok bool) {
-	deadline := time.NewTimer(c.cfg.RequestTimeout)
+	// One timer per client, reset per attempt: since Go 1.23 a stopped or
+	// reset timer never delivers a stale expiry, so reuse is safe.
+	if c.timer == nil {
+		c.timer = time.NewTimer(c.cfg.RequestTimeout)
+	} else {
+		c.timer.Reset(c.cfg.RequestTimeout)
+	}
+	deadline := c.timer
 	defer deadline.Stop()
 	for {
 		select {
@@ -758,14 +803,14 @@ func (c *Client) flushSessionValues() {
 // not trustworthy.
 func (c *Client) decode(pkt netstack.Packet) *Wire {
 	if !c.cfg.Shielded {
-		w, err := DecodeWire(pkt.Data)
+		w, err := decodeWire(pkt.Data, &c.names)
 		if err != nil {
 			return nil
 		}
 		return w
 	}
 	var env authn.Envelope
-	if err := authn.DecodeEnvelopeInto(&env, pkt.Data); err != nil {
+	if err := c.shielder.DecodeEnvelopeInto(&env, pkt.Data); err != nil {
 		// Epoch notices travel outside the shielded channels (a stale
 		// client may not even know the sender's incarnation): accept the
 		// bare wire form for exactly that kind — its payload is a CAS-signed
@@ -781,7 +826,7 @@ func (c *Client) decode(pkt netstack.Packet) *Wire {
 		return nil
 	}
 	// Client channels are strictly request/response; take the first message.
-	w, err := DecodeWire(delivered[0].Payload)
+	w, err := decodeWire(delivered[0].Payload, &c.names)
 	if err != nil {
 		return nil
 	}

@@ -44,11 +44,27 @@
 // (internal/bufpool) and recycle them as soon as their bytes have moved on:
 // on copying sends (Transport.Send) immediately, on the coalescing path
 // after ShieldBatch has sealed the flush. Inbound frames decode with the
-// zero-copy authn.DecodeEnvelopeInto — the packet buffer itself backs the
-// envelope through verification and delivery. Only buffers whose ownership
-// genuinely leaves the node (packets handed to BatchSender.QueueSend, whose
-// bytes the in-process fabric delivers by reference) are freshly allocated.
-// The authn package documents the underlying buffer-ownership contract.
+// zero-copy Shielder.DecodeEnvelopeInto — the packet buffer itself backs the
+// envelope through verification and delivery, and an open channel's name is
+// the shielder's own string. Only buffers whose ownership genuinely leaves
+// the node (packets handed to BatchSender.QueueSend, whose bytes the
+// in-process fabric delivers by reference) are freshly allocated. The authn
+// package documents the underlying buffer-ownership contract.
+//
+// What carries no data is not rebuilt per message either: channel names are
+// cached per (own, peer) incarnation pair, the lease table renews in place,
+// the loop republishes Status only when it changed, and a Client reuses one
+// request timer. Two contracts bound these savings:
+//
+//   - Env.Send callers must not mutate what they pass. An Env may retain the
+//     *Wire and everything it references (the step-net drivers shallow-copy
+//     it and deliver it later), so protocols build fresh messages and slices
+//     per send and never reuse them.
+//   - Only principal names are interned. The node loop and each Client own
+//     a bounded interner through which wire decode passes Wire.From,
+//     Command.ClientID and Command.ClientAddr; decoded keys, values and
+//     commands are always copies and never alias packet buffers, because the
+//     Raft log retains them and the TCP read path reuses its buffers.
 //
 // # One data plane, one commit stage
 //

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"recipe/internal/kvstore"
@@ -36,12 +37,19 @@ func fuzzSeeds() [][]byte {
 	return seeds
 }
 
+// FuzzDecodeWire also runs the node's interning decoder, with one table
+// kept warm across inputs, and requires the same verdict and message.
 func FuzzDecodeWire(f *testing.F) {
 	for _, seed := range fuzzSeeds() {
 		f.Add(seed)
 	}
+	var names interner
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := DecodeWire(data)
+		iw, ierr := decodeWire(data, &names)
+		if (err == nil) != (ierr == nil) || !reflect.DeepEqual(w, iw) {
+			t.Fatalf("interning decode differs:\n plain    %+v, %v\n interned %+v, %v", w, err, iw, ierr)
+		}
 		if err != nil {
 			return
 		}

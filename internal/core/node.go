@@ -171,6 +171,17 @@ type Node struct {
 
 	incMu sync.Mutex
 	inc   map[string]uint64 // peer incarnations (absent = 1)
+	// sendNames and replyNames cache the channel names sendChannel and
+	// replyChannel build, per peer and per client. An entry is used only
+	// while the incarnation pair it was built from is current, so a bumpInc
+	// or a re-incarnation yields the new channel's name. Guarded by incMu:
+	// the committer and off-loop flushers name channels too.
+	sendNames  map[string]chanName
+	replyNames map[string]chanName
+
+	// names interns principal names decoded off the wire. Event-loop
+	// goroutine only.
+	names interner
 
 	// Durability: the sealed WAL+snapshot store (nil when NodeConfig.
 	// Durability is unset). walReady flips once RecoverLocal positioned the
@@ -263,6 +274,16 @@ type Node struct {
 	leaseDur time.Duration
 }
 
+// chanName is one cached channel name and the (own, peer) incarnation pair
+// it embeds.
+type chanName struct {
+	own, peer uint64
+	name      string
+}
+
+// maxCachedNames bounds each channel-name cache; a full cache starts over.
+const maxCachedNames = 4096
+
 type clientRecord struct {
 	seq uint64
 	res Result
@@ -315,6 +336,8 @@ func NewNode(e *tee.Enclave, tr netstack.Transport, proto Protocol, cfg NodeConf
 		clientTable: make(map[string]clientRecord),
 		leaseDur:    time.Duration(cfg.LeaderLeaseTicks) * cfg.TickEvery,
 		inc:         make(map[string]uint64, len(cfg.Secrets.Incarnations)),
+		sendNames:   make(map[string]chanName),
+		replyNames:  make(map[string]chanName),
 		outPending:  make(map[string][]authn.BatchItem),
 	}
 	n.bt, _ = tr.(netstack.BatchSender)
@@ -416,10 +439,30 @@ func (n *Node) Group() uint32 { return n.group }
 func (n *Node) incOf(id string) uint64 {
 	n.incMu.Lock()
 	defer n.incMu.Unlock()
+	return n.incLocked(id)
+}
+
+// incLocked is incOf for callers holding incMu.
+func (n *Node) incLocked(id string) uint64 {
 	if v, ok := n.inc[id]; ok {
 		return v
 	}
 	return 1
+}
+
+// cachedName returns names[key] if it was built for the incarnation pair
+// (own, peer); otherwise it builds the name, caches it, and returns it.
+// Holds incMu.
+func cachedName(names map[string]chanName, key string, own, peer uint64, build func() string) string {
+	if c, ok := names[key]; ok && c.own == own && c.peer == peer {
+		return c.name
+	}
+	if len(names) >= maxCachedNames {
+		clear(names)
+	}
+	c := chanName{own: own, peer: peer, name: build()}
+	names[key] = c
+	return c.name
 }
 
 // bumpInc raises a peer's incarnation (monotonic).
@@ -435,7 +478,12 @@ func (n *Node) bumpInc(id string, inc uint64) {
 // Embedding incarnations means a recovered (re-attested) node communicates
 // over brand-new channels with fresh counters, exactly as §3.7 requires.
 func (n *Node) peerChannel(from, to string) string {
-	return fmt.Sprintf("ch:%s@%d->%s@%d", from, n.incOf(from), to, n.incOf(to))
+	return peerChannelName(from, n.incOf(from), to, n.incOf(to))
+}
+
+// peerChannelName formats a peer channel name from both incarnations.
+func peerChannelName(from string, fromInc uint64, to string, toInc uint64) string {
+	return fmt.Sprintf("ch:%s@%d->%s@%d", from, fromInc, to, toInc)
 }
 
 // clientChannel names the directional channel between a client and a node.
@@ -457,7 +505,12 @@ func replyChannelName(node string, inc uint64, clientID string) string {
 
 // replyChannel names this node's current channel toward a client.
 func (n *Node) replyChannel(clientID string) string {
-	return replyChannelName(n.id, n.incOf(n.id), clientID)
+	n.incMu.Lock()
+	defer n.incMu.Unlock()
+	own := n.incLocked(n.id)
+	return cachedName(n.replyNames, clientID, own, 0, func() string {
+		return replyChannelName(n.id, own, clientID)
+	})
 }
 
 // ID returns the node identity.
@@ -658,18 +711,23 @@ func (n *Node) Start() {
 }
 
 // publishStatus snapshots the protocol status for external readers. Called
-// from the event loop (and once at Start, before the loop exists).
+// from the event loop (and once at Start, before the loop exists). A new
+// snapshot is stored only when the status changed, so a steady-state
+// iteration compares and allocates nothing.
 func (n *Node) publishStatus() {
 	st := n.proto.Status()
-	if n.ring != nil {
-		// Leader/term transitions are rare enough that the formatted detail
-		// string is affordable; steady-state iterations take only the
-		// pointer compare.
-		if old := n.status.Load(); old == nil || old.Leader != st.Leader || old.Term != st.Term {
-			n.trace("leader-change", fmt.Sprintf("leader=%s term=%d", st.Leader, st.Term))
-		}
+	old := n.status.Load()
+	if old != nil && *old == st {
+		return
 	}
-	n.status.Store(&st)
+	if n.ring != nil && (old == nil || old.Leader != st.Leader || old.Term != st.Term) {
+		// Leader/term transitions are rare enough that the formatted detail
+		// string is affordable.
+		n.trace("leader-change", fmt.Sprintf("leader=%s term=%d", st.Leader, st.Term))
+	}
+	snap := new(Status) // not &st: st must stay on the stack when unchanged
+	*snap = st
+	n.status.Store(snap)
 }
 
 // Discard releases a built-but-never-started node's resources — its
@@ -842,7 +900,7 @@ func (n *Node) handlePacket(pkt netstack.Packet) {
 // handleFrame verifies (if shielded) and dispatches one wire frame.
 func (n *Node) handleFrame(from string, data []byte) {
 	if !n.cfg.Shielded {
-		w, err := DecodeWire(data)
+		w, err := decodeWire(data, &n.names)
 		if err != nil {
 			n.stats.DropMalformed.Add(1)
 			return
@@ -853,9 +911,10 @@ func (n *Node) handleFrame(from string, data []byte) {
 
 	// Zero-copy decode: the envelope aliases the packet buffer, which stays
 	// alive for as long as the authn layer retains the envelope (buffered
-	// futures included), so no per-frame payload copy is needed.
+	// futures included), so no per-frame payload copy is needed; an open
+	// channel's name comes from the shielder's table, not a fresh copy.
 	var env authn.Envelope
-	if err := authn.DecodeEnvelopeInto(&env, data); err != nil {
+	if err := n.shielder.DecodeEnvelopeInto(&env, data); err != nil {
 		n.stats.DropMalformed.Add(1)
 		return
 	}
@@ -917,7 +976,7 @@ func (n *Node) countVerifyError(channel, from string, err error) {
 // enforcing that the channel name authenticates the sender: a message
 // claiming to be From=X must arrive on X's directional channel.
 func (n *Node) decodeDelivered(d authn.Envelope) (*Wire, bool) {
-	w, err := DecodeWire(d.Payload)
+	w, err := decodeWire(d.Payload, &n.names)
 	if err != nil {
 		n.stats.DropMalformed.Add(1)
 		return nil, false
@@ -1150,7 +1209,12 @@ func (n *Node) LeaderAlive() bool {
 // sendChannel returns (opening if needed) this node's send channel to a
 // peer, tracking incarnation bumps.
 func (n *Node) sendChannel(to string) string {
-	cq := n.peerChannel(n.id, to)
+	n.incMu.Lock()
+	own, peer := n.incLocked(n.id), n.incLocked(to)
+	cq := cachedName(n.sendNames, to, own, peer, func() string {
+		return peerChannelName(n.id, own, to, peer)
+	})
+	n.incMu.Unlock()
 	if !n.shielder.HasChannel(cq) {
 		_ = n.shielder.OpenGroupChannel(cq, attest.ChannelKey(n.cfg.Secrets.MasterKey, cq), n.group)
 	}

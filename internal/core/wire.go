@@ -210,8 +210,45 @@ func (w *Wire) AppendTo(buf []byte) []byte {
 }
 
 // DecodeWire parses a wire message.
-func DecodeWire(data []byte) (*Wire, error) {
-	d := decoder{buf: data}
+func DecodeWire(data []byte) (*Wire, error) { return decodeWire(data, nil) }
+
+// maxInterned bounds an interner's table. Principals are few (the group's
+// replicas and the clients talking to them); the bound only stops a stream
+// of distinct names from growing the table without end.
+const maxInterned = 1024
+
+// interner hands out one shared string per principal name decoded off the
+// wire (Wire.From, Command.ClientID, Command.ClientAddr), so a steady stream
+// from the same principals decodes their names without a copy per message.
+// Only names are interned: keys, values and commands are always copies.
+// When the table is full it starts over. Not safe for concurrent use: the
+// node loop owns one and each Client owns one.
+type interner struct {
+	names map[string]string
+}
+
+// intern returns the shared string equal to b, adding it if new.
+func (t *interner) intern(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := t.names[string(b)]; ok {
+		return s
+	}
+	if t.names == nil {
+		t.names = make(map[string]string)
+	} else if len(t.names) >= maxInterned {
+		clear(t.names)
+	}
+	s := string(b)
+	t.names[s] = s
+	return s
+}
+
+// decodeWire parses a wire message, interning principal names through names
+// when it is non-nil.
+func decodeWire(data []byte, names *interner) (*Wire, error) {
+	d := decoder{buf: data, names: names}
 	var w Wire
 	w.Kind = d.uint16()
 	flags := d.byte()
@@ -220,7 +257,7 @@ func DecodeWire(data []byte) (*Wire, error) {
 	}
 	w.Group = d.uint32()
 	w.Epoch = d.uint64()
-	w.From = d.string()
+	w.From = d.name()
 	w.Term = d.uint64()
 	w.Index = d.uint64()
 	w.Commit = d.uint64()
@@ -296,9 +333,10 @@ func appendResult(buf []byte, r Result) []byte {
 
 // decoder mirrors the authn package's bounds-checked reader.
 type decoder struct {
-	buf []byte
-	pos int
-	err error
+	buf   []byte
+	pos   int
+	err   error
+	names *interner // nil: principal names are copied like any string
 }
 
 func (d *decoder) take(n int) []byte {
@@ -359,6 +397,18 @@ func (d *decoder) string() string {
 	return string(b)
 }
 
+// name reads a principal name, through the interner when there is one.
+func (d *decoder) name() string {
+	if d.names == nil {
+		return d.string()
+	}
+	b := d.take(int(d.uint32()))
+	if b == nil {
+		return ""
+	}
+	return d.names.intern(b)
+}
+
 func (d *decoder) bytes() []byte {
 	n := int(d.uint32())
 	b := d.take(n)
@@ -375,8 +425,8 @@ func (d *decoder) command() Command {
 	c.Op = Op(d.byte())
 	c.Key = d.string()
 	c.Value = d.bytes()
-	c.ClientID = d.string()
-	c.ClientAddr = d.string()
+	c.ClientID = d.name()
+	c.ClientAddr = d.name()
 	c.Seq = d.uint64()
 	return c
 }

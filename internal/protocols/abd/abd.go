@@ -385,7 +385,7 @@ func (a *ABD) Tick() {
 		o.age++
 		if o.age >= opTimeoutTicks {
 			delete(a.ops, id)
-			a.env.Reply(o.cmd, core.Result{Err: "abd: quorum timeout"})
+			a.env.Reply(o.cmd, core.Result{Err: core.ErrQuorumTimeout.Error()})
 		}
 	}
 }

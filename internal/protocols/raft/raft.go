@@ -406,12 +406,19 @@ func (r *Raft) sendAppend(to string) {
 	}
 	prevIdx := next - 1
 	prevTerm, _ := r.termAt(prevIdx)
+	// Each entry's term rides in Value as 8 big-endian bytes, written
+	// straight into the message; both slices are sized once.
 	var cmds []core.Command
-	var terms []uint64
-	for i := next; i <= r.lastIndex() && len(cmds) < maxEntriesPerAE; i++ {
-		e := r.entryAt(i)
-		cmds = append(cmds, e.cmd)
-		terms = append(terms, e.term)
+	var terms []byte
+	if last := r.lastIndex(); last > prevIdx {
+		n := min(last-prevIdx, maxEntriesPerAE)
+		cmds = make([]core.Command, 0, n)
+		terms = make([]byte, 0, 8*n)
+		for i := next; i <= prevIdx+n; i++ {
+			e := r.entryAt(i)
+			cmds = append(cmds, e.cmd)
+			terms = binary.BigEndian.AppendUint64(terms, e.term)
+		}
 	}
 	r.inflight[to] = true
 	r.env.Send(to, &core.Wire{
@@ -421,7 +428,7 @@ func (r *Raft) sendAppend(to string) {
 		TS:     kvstore.Version{TS: prevTerm},
 		Commit: r.commitIndex,
 		Cmds:   cmds,
-		Value:  encodeTerms(terms),
+		Value:  terms,
 	})
 }
 
@@ -451,22 +458,23 @@ func (r *Raft) onAppendEntries(from string, m *core.Wire) {
 		return
 	}
 
-	terms := decodeTerms(m.Value)
+	nterms := len(m.Value) / 8 // read in place: entry i's term is Value[8i:8i+8]
 	for i, cmd := range m.Cmds {
-		if i >= len(terms) {
+		if i >= nterms {
 			break
 		}
+		term := binary.BigEndian.Uint64(m.Value[8*i:])
 		idx := prevIdx + uint64(i) + 1
 		if idx <= r.base {
 			continue // covered by the compacted (committed) prefix
 		}
 		if idx <= r.lastIndex() {
-			if r.entryAt(idx).term == terms[i] {
+			if r.entryAt(idx).term == term {
 				continue // already have it
 			}
 			r.log = r.log[:idx-r.base-1] // conflict: truncate suffix
 		}
-		r.log = append(r.log, entry{term: terms[i], cmd: cmd})
+		r.log = append(r.log, entry{term: term, cmd: cmd})
 	}
 
 	// Commit only up to the last entry verified against this leader
@@ -724,22 +732,6 @@ func readLocal(store *kvstore.Store, key string) core.Result {
 		return core.Result{Err: err.Error()}
 	}
 	return core.Result{OK: true, Value: v, Version: ver}
-}
-
-func encodeTerms(terms []uint64) []byte {
-	buf := make([]byte, 0, len(terms)*8)
-	for _, t := range terms {
-		buf = binary.BigEndian.AppendUint64(buf, t)
-	}
-	return buf
-}
-
-func decodeTerms(data []byte) []uint64 {
-	out := make([]uint64, 0, len(data)/8)
-	for i := 0; i+8 <= len(data); i += 8 {
-		out = append(out, binary.BigEndian.Uint64(data[i:i+8]))
-	}
-	return out
 }
 
 func min(a, b uint64) uint64 {

@@ -80,7 +80,13 @@ func (t *LeaseTable) Grant(name, holder string, d time.Duration) (Lease, error) 
 			epoch = st.epoch
 		}
 	}
-	t.leases[name] = &leaseState{holder: holder, grantedAt: now, duration: d, epoch: epoch}
+	if ok {
+		// Update in place: a renewal (every verified message from the leader)
+		// must not allocate a fresh state.
+		*st = leaseState{holder: holder, grantedAt: now, duration: d, epoch: epoch}
+	} else {
+		t.leases[name] = &leaseState{holder: holder, grantedAt: now, duration: d, epoch: epoch}
+	}
 	return Lease{Name: name, Holder: holder, Epoch: epoch, Duration: d}, nil
 }
 

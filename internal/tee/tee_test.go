@@ -274,3 +274,36 @@ func TestChargeResidentTracksWorkingSet(t *testing.T) {
 		t.Errorf("ResidentBytes = %d, want 5024", got)
 	}
 }
+
+// TestLeaseGrantRenewalAllocFree: a renewal — every verified message from
+// the current leader — updates the lease state in place, and the epoch and
+// expiry rules still hold.
+func TestLeaseGrantRenewalAllocFree(t *testing.T) {
+	clk := NewFakeClock(time.Unix(1000, 0))
+	lt := NewLeaseTable(clk, 0.1)
+	if _, err := lt.Grant("leader", "n1", time.Second); err != nil {
+		t.Fatalf("Grant: %v", err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := lt.Grant("leader", "n1", time.Second); err != nil {
+			t.Fatalf("renewal: %v", err)
+		}
+	}); n != 0 {
+		t.Fatalf("lease renewal allocates %.1f times, want 0", n)
+	}
+	clk.Advance(500 * time.Millisecond)
+	if l, err := lt.Grant("leader", "n1", time.Second); err != nil || l.Epoch != 1 {
+		t.Fatalf("renewal = %+v, %v; want epoch 1", l, err)
+	}
+	clk.Advance(time.Second) // holder-side expired, grantor margin still open
+	if lt.HolderActive("leader", "n1") {
+		t.Fatalf("holder still active past its duration")
+	}
+	if _, err := lt.Grant("leader", "n2", time.Second); err != ErrLeaseHeld {
+		t.Fatalf("grant inside the drift margin: %v, want ErrLeaseHeld", err)
+	}
+	clk.Advance(200 * time.Millisecond)
+	if l, err := lt.Grant("leader", "n2", time.Second); err != nil || l.Epoch != 2 || l.Holder != "n2" {
+		t.Fatalf("takeover = %+v, %v; want n2 at epoch 2", l, err)
+	}
+}

@@ -10,7 +10,7 @@
 // magnitude (quantile error ≤ ~6%, ~3% at bucket midpoints). Every bucket
 // is an atomic counter in one fixed array, so Record is wait-free and
 // allocation-free — it is designed to sit on the node's hot path, inside
-// the 2 allocs/op budget the allocation guard enforces. Snapshot copies
+// the 1 alloc/op budget the allocation guard enforces. Snapshot copies
 // the counters into a value type that merges (cross-node aggregation),
 // subtracts (interval measurement around a benchmark's timed section), and
 // answers p50/p90/p99/p999/max.
