@@ -56,10 +56,13 @@
 // the loop republishes Status only when it changed, and a Client reuses one
 // request timer. Two contracts bound these savings:
 //
-//   - Env.Send callers must not mutate what they pass. An Env may retain the
-//     *Wire and everything it references (the step-net drivers shallow-copy
-//     it and deliver it later), so protocols build fresh messages and slices
-//     per send and never reuse them.
+//   - Never mutate what you passed to Env.Send. An Env may retain the *Wire
+//     and everything it references (the step-net drivers shallow-copy it and
+//     deliver it later), so a protocol builds a fresh message per send and
+//     never rewrites the memory its slices point at. Raft's AppendEntries
+//     carry slices of its log, whose slots are never rewritten once written:
+//     truncation caps the slices so the next append reallocates, and
+//     compaction copies into fresh arrays.
 //   - Only principal names are interned. The node loop and each Client own
 //     a bounded interner through which wire decode passes Wire.From,
 //     Command.ClientID and Command.ClientAddr; decoded keys, values and

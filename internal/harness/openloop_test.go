@@ -16,14 +16,14 @@ import (
 // and intended/service histograms.
 func openLoopConfig(c *Cluster, rate float64, d time.Duration, conns int, seed int64) loadgen.Config {
 	return loadgen.Config{
-		Rate:     rate,
-		Duration: d,
-		Sessions: 1000,
-		Conns:    conns,
-		Workload: workload.Config{Keys: 256, ReadRatio: 0.5, ValueSize: 64, Seed: seed},
+		Rate:      rate,
+		Duration:  d,
+		Sessions:  1000,
+		Conns:     conns,
+		Workload:  workload.Config{Keys: 256, ReadRatio: 0.5, ValueSize: 64, Seed: seed},
 		NewClient: c.Client,
-		Intended: c.ClientHistogram(loadgen.MetricIntendedRTT, "intended-start latency"),
-		Target:   c,
+		Intended:  c.ClientHistogram(loadgen.MetricIntendedRTT, "intended-start latency"),
+		Target:    c,
 	}
 }
 

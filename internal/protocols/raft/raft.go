@@ -49,10 +49,22 @@ const (
 	compactKeep      = 4096
 )
 
-// entry is one log slot.
-type entry struct {
-	term uint64
-	cmd  core.Command
+// progress is the leader's view of one follower, in the shape of
+// etcd-raft's Progress. Entries past sent have not been shipped; the next
+// AppendEntries that carries entries starts at sent+1.
+//
+// In replicate state at most one AppendEntries with entries is in flight,
+// covering (match, sent]; nothing is shipped while it is outstanding, so no
+// entry travels twice. In probe state (after an election or a rejection)
+// the leader does not know where the follower's log ends: one AppendEntries
+// from sent+1 is outstanding at a time (paused), and sent does not move
+// until the follower accepts it.
+type progress struct {
+	id     string
+	match  uint64 // highest index known to be replicated on the follower
+	sent   uint64 // highest index shipped (replicate) or the probe's prevIdx (probe)
+	probe  bool
+	paused bool // probe state: a probe is outstanding
 }
 
 // Raft is one Raft server. All methods run on the node event loop.
@@ -71,11 +83,17 @@ type Raft struct {
 	votedFor string
 	leader   string
 
-	// The log starts after a compacted prefix: log[i] has index base+i+1.
-	// baseTerm is the term of the entry at index base (0 = unknown, after a
-	// snapshot install — the compacted prefix is committed state and is
-	// trusted without a term check).
-	log         []entry
+	// The log starts after a compacted prefix: cmds[i] is the command at
+	// index base+i+1 and terms[8i:8i+8] its term, big-endian — the layout of
+	// an AppendEntries' Value, so a batch ships as a slice of the log. A slot,
+	// once written, is never rewritten in its backing array: truncation caps
+	// both slices so the next append reallocates, and compaction copies into
+	// fresh arrays. That keeps every slice handed to Env.Send unchanged for
+	// as long as the Env retains it. baseTerm is the term of the entry at
+	// index base (0 = unknown, after a snapshot install — the compacted
+	// prefix is committed state and is trusted without a term check).
+	cmds        []core.Command
+	terms       []byte
 	base        uint64
 	baseTerm    uint64
 	commitIndex uint64
@@ -85,9 +103,10 @@ type Raft struct {
 	// committed in prior terms may not have reached this replica's store.
 	barrier uint64
 
-	nextIndex  map[string]uint64
-	matchIndex map[string]uint64
-	votes      map[string]bool
+	// prs is the leader's replication progress, one per follower in peer
+	// order.
+	prs   []progress
+	votes map[string]bool
 	// leaseAcks collects the distinct followers that responded in the
 	// current term since the last lease renewal. The leader's own holder-
 	// side lease renews only when a QUORUM of them has responded — renewing
@@ -95,11 +114,6 @@ type Raft struct {
 	// its lease (and serve stale local reads) while the majority elects and
 	// commits under a successor.
 	leaseAcks map[string]bool
-	// inflight marks followers with an unacknowledged AppendEntries. New
-	// submissions do not trigger extra rounds while one is outstanding —
-	// entries accumulate and ship in the next batch (the paper's batching
-	// optimization; self-clocking pipeline per follower).
-	inflight map[string]bool
 	// dirty marks entries appended by Submit since the last FlushBatch. The
 	// node event loop drains a burst of client commands and then calls
 	// FlushBatch once, so the whole burst replicates in a single
@@ -130,9 +144,8 @@ var (
 // node a distinct seed.
 func New(seed int64) *Raft {
 	return &Raft{
-		rng:      rand.New(rand.NewSource(seed)),
-		pending:  make(map[uint64]core.Command),
-		inflight: make(map[string]bool),
+		rng:     rand.New(rand.NewSource(seed)),
+		pending: make(map[uint64]core.Command),
 	}
 }
 
@@ -193,13 +206,12 @@ func (r *Raft) Submit(cmd core.Command) {
 	// Writes — and reads arriving before the term barrier applies, under
 	// ReadLeaderOnly, or without a fresh lease — go through the log; OpGet
 	// entries read the store at apply time.
-	r.log = append(r.log, entry{term: r.term, cmd: cmd})
+	r.appendEntry(r.term, cmd)
 	idx := r.lastIndex()
 	r.pending[idx] = cmd
 	if r.pendingAt != nil {
 		r.pendingAt[idx] = time.Now()
 	}
-	r.matchIndex[r.id] = idx
 	// Replication is deferred to FlushBatch so commands submitted in the
 	// same event-loop iteration batch into one AppendEntries.
 	r.dirty = true
@@ -214,14 +226,12 @@ func (r *Raft) FlushBatch() {
 		return
 	}
 	r.dirty = false
-	for _, p := range r.peers {
-		if p != r.id && !r.inflight[p] {
-			r.sendAppend(p)
-		}
+	for i := range r.prs {
+		r.maybeSend(&r.prs[i])
 	}
-	// A single-replica group has no followers to ack: its own matchIndex is
-	// the quorum, so commitment must advance here. No-op with followers
-	// (their matchIndex has not moved yet).
+	// A single-replica group has no followers to ack: the leader's own log
+	// is the quorum, so commitment must advance here. No-op with followers
+	// (their match has not moved yet).
 	r.advanceCommit()
 }
 
@@ -299,7 +309,7 @@ func (r *Raft) stepDown(term uint64) {
 
 // lastIndex is the index of the newest log entry (or the compaction base if
 // the log is empty).
-func (r *Raft) lastIndex() uint64 { return r.base + uint64(len(r.log)) }
+func (r *Raft) lastIndex() uint64 { return r.base + uint64(len(r.cmds)) }
 
 // termAt returns the term of the entry at idx, if known. Indices at or
 // below base are compacted; base itself reports baseTerm.
@@ -308,14 +318,36 @@ func (r *Raft) termAt(idx uint64) (uint64, bool) {
 	case idx == r.base:
 		return r.baseTerm, true
 	case idx > r.base && idx <= r.lastIndex():
-		return r.log[idx-r.base-1].term, true
+		return binary.BigEndian.Uint64(r.terms[8*(idx-r.base-1):]), true
 	default:
 		return 0, false
 	}
 }
 
-// entryAt returns the entry at idx, which must be in (base, lastIndex].
-func (r *Raft) entryAt(idx uint64) entry { return r.log[idx-r.base-1] }
+// cmdAt returns the command at idx, which must be in (base, lastIndex].
+func (r *Raft) cmdAt(idx uint64) core.Command { return r.cmds[idx-r.base-1] }
+
+// appendEntry appends one entry to the log.
+func (r *Raft) appendEntry(term uint64, cmd core.Command) {
+	r.cmds = append(r.cmds, cmd)
+	r.terms = binary.BigEndian.AppendUint64(r.terms, term)
+}
+
+// truncate keeps the first n in-memory entries. The capped slices make the
+// next append reallocate, so the dropped slots — which a retained
+// AppendEntries may still reference — are never rewritten.
+func (r *Raft) truncate(n uint64) {
+	r.cmds = r.cmds[:n:n]
+	r.terms = r.terms[: 8*n : 8*n]
+}
+
+// dropPrefix discards the in-memory entries at or below index, copying the
+// rest into fresh arrays (the old ones may back retained AppendEntries).
+func (r *Raft) dropPrefix(index uint64) {
+	n := index - r.base
+	r.cmds = append([]core.Command(nil), r.cmds[n:]...)
+	r.terms = append([]byte(nil), r.terms[8*n:]...)
+}
 
 func (r *Raft) lastLog() (idx, term uint64) {
 	idx = r.lastIndex()
@@ -360,76 +392,99 @@ func (r *Raft) maybeWinElection() {
 	r.role = leader
 	r.leader = r.id
 	r.heartbeatElapsed = 0
-	r.nextIndex = make(map[string]uint64, len(r.peers))
-	r.matchIndex = make(map[string]uint64, len(r.peers))
-	r.inflight = make(map[string]bool, len(r.peers))
+	r.prs = make([]progress, 0, len(r.peers))
 	r.leaseAcks = make(map[string]bool, len(r.peers))
-	lastIdx, _ := r.lastLog()
 	for _, p := range r.peers {
-		r.nextIndex[p] = lastIdx + 1
-		r.matchIndex[p] = 0
+		if p != r.id {
+			r.prs = append(r.prs, progress{id: p, sent: r.lastIndex(), probe: true})
+		}
 	}
 	// Term-start no-op barrier (Raft §8): committing an entry of the new
 	// term also commits — and applies — every entry inherited from prior
 	// terms, which advanceCommit cannot count directly. Until the barrier
 	// applies, local reads detour through the log (see Submit), so a write
 	// acknowledged by a crashed leader can never be invisibly lost.
-	r.log = append(r.log, entry{term: r.term})
+	r.appendEntry(r.term, core.Command{})
 	r.barrier = r.lastIndex()
-	r.matchIndex[r.id] = r.barrier
 	r.env.Logf("raft %s: leader of term %d", r.id, r.term)
 	r.replicateAll()
 }
 
 func (r *Raft) quorum() int { return len(r.peers)/2 + 1 }
 
-// replicateAll sends AppendEntries to every follower from its nextIndex.
-func (r *Raft) replicateAll() {
-	r.dirty = false // every follower is being sent its pending entries now
-	for _, p := range r.peers {
-		if p == r.id {
-			continue
+// progressOf returns the leader's progress for a follower (nil for anyone
+// else).
+func (r *Raft) progressOf(id string) *progress {
+	for i := range r.prs {
+		if r.prs[i].id == id {
+			return &r.prs[i]
 		}
-		r.sendAppend(p)
 	}
-	r.advanceCommit() // single-replica groups commit on their own match
+	return nil
 }
 
-func (r *Raft) sendAppend(to string) {
-	next := r.nextIndex[to]
-	if next <= r.base {
+// replicateAll is the leader's heartbeat: one AppendEntries to every
+// follower, carrying the commit index. A follower with a batch in flight gets
+// no entries, only prevIdx = sent: if that batch was lost it rejects, and
+// the rejection re-ships it. A probe outstanding a whole heartbeat interval
+// is sent again.
+func (r *Raft) replicateAll() {
+	r.dirty = false // every follower is being sent its pending entries now
+	for i := range r.prs {
+		pr := &r.prs[i]
+		pr.paused = false
+		if !r.maybeSend(pr) {
+			r.sendAppend(pr.id, pr.sent, pr.sent)
+		}
+	}
+	r.advanceCommit() // single-replica groups commit on their own log
+}
+
+// maybeSend ships the entries past pr.sent (at most maxEntriesPerAE) if the
+// follower's progress allows it: in probe state one probe at a time, in
+// replicate state one batch at a time. It reports whether it sent.
+func (r *Raft) maybeSend(pr *progress) bool {
+	if pr.sent < r.base {
 		// Entries at or below base are compacted. A follower that far behind
 		// recovers through Recipe's state transfer (SyncFrom installs a
 		// snapshot); meanwhile probe from just past the base.
-		next = r.base + 1
-		r.nextIndex[to] = next
+		pr.sent = r.base
 	}
-	prevIdx := next - 1
-	prevTerm, _ := r.termAt(prevIdx)
-	// Each entry's term rides in Value as 8 big-endian bytes, written
-	// straight into the message; both slices are sized once.
-	var cmds []core.Command
-	var terms []byte
-	if last := r.lastIndex(); last > prevIdx {
-		n := min(last-prevIdx, maxEntriesPerAE)
-		cmds = make([]core.Command, 0, n)
-		terms = make([]byte, 0, 8*n)
-		for i := next; i <= prevIdx+n; i++ {
-			e := r.entryAt(i)
-			cmds = append(cmds, e.cmd)
-			terms = binary.BigEndian.AppendUint64(terms, e.term)
+	last := r.lastIndex()
+	hi := min(last, pr.sent+maxEntriesPerAE)
+	if pr.probe {
+		if pr.paused {
+			return false
 		}
+		pr.paused = true
+		r.sendAppend(pr.id, pr.sent, hi)
+		return true
 	}
-	r.inflight[to] = true
-	r.env.Send(to, &core.Wire{
+	if pr.sent > pr.match || pr.sent == last {
+		return false // a batch is in flight, or there is nothing to ship
+	}
+	r.sendAppend(pr.id, pr.sent, hi)
+	pr.sent = hi
+	return true
+}
+
+// sendAppend sends the entries (prev, hi] — none when hi == prev — as
+// slices of the log: the only allocation is the message itself.
+func (r *Raft) sendAppend(to string, prev, hi uint64) {
+	prevTerm, _ := r.termAt(prev)
+	w := &core.Wire{
 		Kind:   KindAppendEntries,
 		Term:   r.term,
-		Index:  prevIdx,
+		Index:  prev,
 		TS:     kvstore.Version{TS: prevTerm},
 		Commit: r.commitIndex,
-		Cmds:   cmds,
-		Value:  terms,
-	})
+	}
+	if hi > prev {
+		lo, hi := prev-r.base, hi-r.base
+		w.Cmds = r.cmds[lo:hi:hi]
+		w.Value = r.terms[8*lo : 8*hi : 8*hi]
+	}
+	r.env.Send(to, w)
 }
 
 func (r *Raft) onAppendEntries(from string, m *core.Wire) {
@@ -449,8 +504,9 @@ func (r *Raft) onAppendEntries(from string, m *core.Wire) {
 			consistent = true
 		}
 	}
-	if !consistent {
-		// Log inconsistency: ask the leader to back up.
+	if !consistent || len(m.Value) != 8*len(m.Cmds) {
+		// Log inconsistency, or a batch whose terms do not cover its
+		// commands: ask the leader to back up.
 		r.env.Send(from, &core.Wire{
 			Kind: KindAppendResp, Term: r.term, OK: false,
 			Index: r.commitIndex, // safe hint: everything up to commit matches
@@ -458,23 +514,22 @@ func (r *Raft) onAppendEntries(from string, m *core.Wire) {
 		return
 	}
 
-	nterms := len(m.Value) / 8 // read in place: entry i's term is Value[8i:8i+8]
-	for i, cmd := range m.Cmds {
-		if i >= nterms {
-			break
-		}
-		term := binary.BigEndian.Uint64(m.Value[8*i:])
+	// Skip what the log already holds; from the first new or conflicting
+	// entry on, the rest of the batch appends in bulk.
+	for i := range m.Cmds {
 		idx := prevIdx + uint64(i) + 1
 		if idx <= r.base {
 			continue // covered by the compacted (committed) prefix
 		}
 		if idx <= r.lastIndex() {
-			if r.entryAt(idx).term == term {
+			if t, _ := r.termAt(idx); t == binary.BigEndian.Uint64(m.Value[8*i:]) {
 				continue // already have it
 			}
-			r.log = r.log[:idx-r.base-1] // conflict: truncate suffix
+			r.truncate(idx - r.base - 1) // conflict: drop the suffix
 		}
-		r.log = append(r.log, entry{term: term, cmd: cmd})
+		r.cmds = append(r.cmds, m.Cmds[i:]...)
+		r.terms = append(r.terms, m.Value[8*i:]...)
+		break
 	}
 
 	// Commit only up to the last entry verified against this leader
@@ -500,7 +555,10 @@ func (r *Raft) onAppendResp(from string, m *core.Wire) {
 	if r.role != leader || m.Term != r.term {
 		return
 	}
-	r.inflight[from] = false
+	pr := r.progressOf(from)
+	if pr == nil {
+		return
+	}
 	// Any same-term response (OK or not) proves this follower still treats
 	// us as the term's leader. Once a quorum of distinct followers has
 	// responded since the last renewal, the leader's own lease is fresh
@@ -517,40 +575,42 @@ func (r *Raft) onAppendResp(from string, m *core.Wire) {
 		}
 	}
 	if !m.OK {
-		// Back up nextIndex and retry (never below the compacted base).
-		switch {
-		case r.nextIndex[from] > m.Index+1:
-			r.nextIndex[from] = m.Index + 1
-		case r.nextIndex[from] > 1:
-			r.nextIndex[from]--
+		// The hint is the follower's commit index, and everything up to it
+		// matches; so does match, since a running follower never drops what
+		// it acknowledged. Probe from past both, within the log. A refused
+		// probe at match itself means the follower lost its log: it
+		// restarted under the same identity from an older snapshot, so match
+		// falls back to the hint.
+		if pr.probe && pr.paused && pr.sent == pr.match {
+			pr.match = min(pr.match, m.Index)
 		}
-		if r.nextIndex[from] <= r.base {
-			r.nextIndex[from] = r.base + 1
+		sent := min(max(m.Index, pr.match, r.base), r.lastIndex())
+		if pr.probe && pr.paused && pr.sent == sent {
+			return // this probe is outstanding; the heartbeat re-sends it
 		}
-		r.sendAppend(from)
+		pr.sent, pr.probe, pr.paused = sent, true, false
+		r.maybeSend(pr)
 		return
 	}
-	if m.Index > r.matchIndex[from] {
-		r.matchIndex[from] = m.Index
+	pr.match = max(pr.match, m.Index)
+	if pr.probe && m.Index >= pr.sent {
+		pr.probe, pr.paused = false, false // the probe matched
 	}
-	r.nextIndex[from] = m.Index + 1
+	pr.sent = max(pr.sent, pr.match)
 	r.advanceCommit()
-	// Keep streaming if the follower is behind.
-	if r.nextIndex[from] <= r.lastIndex() {
-		r.sendAppend(from)
-	}
+	r.maybeSend(pr) // keep streaming if the follower is behind
 }
 
 // advanceCommit commits the highest index replicated on a quorum with an
 // entry from the current term (Raft's commitment rule).
 func (r *Raft) advanceCommit() {
 	for idx := r.lastIndex(); idx > r.commitIndex && idx > r.base; idx-- {
-		if r.entryAt(idx).term != r.term {
+		if t, _ := r.termAt(idx); t != r.term {
 			break // only commit current-term entries by counting
 		}
-		count := 0
-		for _, p := range r.peers {
-			if r.matchIndex[p] >= idx {
+		count := 1 // the leader holds its whole log
+		for i := range r.prs {
+			if r.prs[i].match >= idx {
 				count++
 			}
 		}
@@ -571,8 +631,8 @@ func (r *Raft) advanceCommit() {
 func (r *Raft) applyCommitted() {
 	for r.lastApplied < r.commitIndex {
 		r.lastApplied++
-		e := r.entryAt(r.lastApplied)
-		res := applyCommand(r.env.Store(), e.cmd, r.lastApplied)
+		e := r.cmdAt(r.lastApplied)
+		res := applyCommand(r.env.Store(), e, r.lastApplied)
 		if cmd, ok := r.pending[r.lastApplied]; ok {
 			delete(r.pending, r.lastApplied)
 			if r.pendingAt != nil {
@@ -587,7 +647,7 @@ func (r *Raft) applyCommitted() {
 			// that entry's result to the stale pending command would ack a
 			// write the cluster never accepted. Silence is correct: the
 			// client times out, retries, and the table dedups.
-			if cmd.ClientID == e.cmd.ClientID && cmd.Seq == e.cmd.Seq {
+			if cmd.ClientID == e.ClientID && cmd.Seq == e.Seq {
 				r.env.Reply(cmd, res)
 			}
 		}
@@ -601,22 +661,16 @@ func (r *Raft) applyCommitted() {
 // compacted entry for a live follower; a dead follower recovers through
 // state transfer plus snapshot install.
 func (r *Raft) maybeCompact() {
-	if len(r.log) < compactThreshold {
+	if len(r.cmds) < compactThreshold {
 		return
 	}
 	limit := r.lastApplied
 	if r.role == leader {
-		for _, p := range r.peers {
-			if p == r.id {
-				continue
-			}
-			m := r.matchIndex[p]
-			if m == 0 {
+		for i := range r.prs {
+			if r.prs[i].match == 0 {
 				return // a follower has acked nothing yet; keep everything
 			}
-			if m < limit {
-				limit = m
-			}
+			limit = min(limit, r.prs[i].match)
 		}
 	}
 	if limit <= r.base+compactKeep {
@@ -627,7 +681,7 @@ func (r *Raft) maybeCompact() {
 	if !ok {
 		return
 	}
-	r.log = append([]entry(nil), r.log[newBase-r.base:]...)
+	r.dropPrefix(newBase)
 	r.base = newBase
 	r.baseTerm = bt
 }
@@ -651,7 +705,7 @@ func (r *Raft) ServeCleanRead(cmd core.Command) bool {
 }
 
 // LogLen reports the number of in-memory log entries (observability).
-func (r *Raft) LogLen() int { return len(r.log) }
+func (r *Raft) LogLen() int { return len(r.cmds) }
 
 // Base reports the compaction base index (observability).
 func (r *Raft) Base() uint64 { return r.base }
@@ -669,10 +723,10 @@ func (r *Raft) InstallSnapshot(index uint64) {
 	}
 	if index <= r.lastIndex() {
 		bt, _ := r.termAt(index)
-		r.log = append([]entry(nil), r.log[index-r.base:]...)
+		r.dropPrefix(index)
 		r.baseTerm = bt
 	} else {
-		r.log = nil
+		r.cmds, r.terms = nil, nil
 		r.baseTerm = 0 // unknown; the compacted prefix is trusted
 	}
 	r.base = index
@@ -732,11 +786,4 @@ func readLocal(store *kvstore.Store, key string) core.Result {
 		return core.Result{Err: err.Error()}
 	}
 	return core.Result{OK: true, Value: v, Version: ver}
-}
-
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
