@@ -50,8 +50,8 @@ const (
 )
 
 // progress is the leader's view of one follower, in the shape of
-// etcd-raft's Progress. Entries past sent have not been shipped; the next
-// AppendEntries that carries entries starts at sent+1.
+// etcd-raft's Progress. The next AppendEntries that carries entries starts
+// at sent+1.
 //
 // In replicate state at most one AppendEntries with entries is in flight,
 // covering (match, sent]; nothing is shipped while it is outstanding, so no
