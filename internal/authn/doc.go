@@ -15,14 +15,21 @@
 //
 // In confidential mode payloads are encrypted with AES-GCM under the channel
 // key (header bound as additional data), which is how Recipe offers
-// confidentiality beyond the BFT model (Fig 5).
+// confidentiality beyond the BFT model (Fig 5). The GCM tag then covers
+// everything the HMAC would, so it is the envelope's only authenticator: a
+// confidential envelope carries an empty MAC field, and Verify opens it
+// before any other check. A channel's mode is fixed when it is opened; a
+// confidential channel rejects plain envelopes and envelopes with a MAC, an
+// integrity-only one rejects sealed envelopes, all as ErrBadMAC. With no
+// HMAC on confidential channels, the AES key (the first 16 bytes of the
+// channel key) and the HMAC key no longer serve two primitives there.
 //
 // # Batching
 //
 // ShieldBatch seals N messages for one channel under a single envelope
-// occupying the counter range [Seq, Seq+N-1]: one MAC, one enclave
-// transition, and (in confidential mode) one AEAD seal amortize over the
-// whole batch. Verify transparently explodes a batch envelope into its N
+// occupying the counter range [Seq, Seq+N-1]: one MAC (in confidential
+// mode, one AEAD seal) and one enclave transition amortize over the whole
+// batch. Verify transparently explodes a batch envelope into its N
 // logical messages and runs each through the ordinary counter logic, so
 // replay protection, gap buffering, and loose channels behave exactly as
 // they do for N individual envelopes.
@@ -39,7 +46,8 @@
 // # Hot path and buffer ownership
 //
 // The steady-state non-confidential data plane (seal → encode → decode →
-// verify) is allocation-free apart from the 32-byte MAC tag: the receiver's
+// verify) is allocation-free apart from the 32-byte MAC tag, and the
+// confidential one is allocation-free: the receiver's
 // Shielder.DecodeEnvelopeInto hands out the open channel's own name string
 // instead of copying it. That discipline rests on per-channel reusable state —
 // the keyed HMAC schedule is computed once at open and Reset per message,
@@ -54,14 +62,20 @@
 //     encoding, the caller releases it with RecyclePayload. A one-item batch
 //     degrades to Shield and follows Shield's rule.
 //   - DecodeEnvelopeInto: the envelope's Payload and MAC alias the wire
-//     buffer, which must stay alive while the envelope is in use — including
-//     while it sits in a channel's out-of-order buffer awaiting gap closure.
-//     (DecodeEnvelope keeps the copying behaviour for callers that retain.)
-//     Shielder.DecodeEnvelopeInto is the same decode with the channel name
-//     taken from the shielder's table when the channel is open.
+//     buffer, which must stay alive while the envelope is in use — on an
+//     integrity-only channel including while it sits in the out-of-order
+//     buffer awaiting gap closure. (DecodeEnvelope keeps the copying
+//     behaviour for callers that retain.) Shielder.DecodeEnvelopeInto is the
+//     same decode with the channel name taken from the shielder's table when
+//     the channel is open.
 //   - Verify: the returned slice is the channel's reusable delivery scratch,
 //     valid only until the next Verify or TickFutures on the same channel.
-//     Consume it synchronously (as the node event loop does) or copy.
+//     On a confidential channel the delivered plaintext lives in the
+//     channel's own scratch, with the same lifetime; an out-of-order
+//     envelope is opened on arrival and a copy of its plaintext is parked,
+//     so the wire buffer is free as soon as Verify returns and draining
+//     decrypts nothing. Consume the delivery synchronously (as the node
+//     event loop does) or copy.
 //
 // Concurrency: the channel table is an RWMutex-guarded map with a lock per
 // channel, so concurrent channels never serialise on a global lock; SetView

@@ -11,34 +11,50 @@ import (
 	"recipe/internal/tee"
 )
 
-// TestHotPathAllocBudget is the allocation-regression guard: the steady-state
-// non-confidential data plane (seal -> encode -> decode -> verify) must stay
-// within 1 allocation per message — the MAC tag (32 B, so envelopes remain
-// independent of the channel scratch). The receiver's DecodeEnvelopeInto
-// hands out the open channel's own name, so decoding it costs nothing.
-// CI runs BenchmarkHotPathAllocs against the same budget; this test fails the
-// ordinary `go test` run long before the workflow does.
+// TestHotPathAllocBudget is the allocation-regression guard for the
+// steady-state data plane (seal -> encode -> decode -> verify). An
+// integrity-only message costs 1 allocation — the MAC tag (32 B, so
+// envelopes remain independent of the channel scratch). A confidential one
+// costs none: the GCM seal goes into a pooled buffer, its tag is the MAC,
+// and the plaintext opens into the receiving channel's scratch. The
+// receiver's DecodeEnvelopeInto hands out the open channel's own name, so
+// decoding costs nothing in either mode. CI runs BenchmarkHotPathAllocs
+// against the same budgets; this test fails the ordinary `go test` run long
+// before the workflow does.
 func TestHotPathAllocBudget(t *testing.T) {
-	a, b := newPair(t)
-	payload := bytes.Repeat([]byte{7}, 300)
-	var buf []byte
-	cycle := func() {
-		env, err := a.Shield("ab", 7, payload)
-		if err != nil {
-			t.Fatalf("Shield: %v", err)
-		}
-		buf = env.AppendTo(buf[:0])
-		var e Envelope
-		if err := b.DecodeEnvelopeInto(&e, buf); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if _, _, err := b.Verify(e); err != nil {
-			t.Fatalf("Verify: %v", err)
-		}
-	}
-	cycle() // warm the per-channel scratch buffers
-	if n := testing.AllocsPerRun(200, cycle); n > 1 {
-		t.Fatalf("hot path allocates %.1f per message, budget is 1", n)
+	for _, tc := range []struct {
+		name   string
+		opts   []Option
+		budget float64
+	}{
+		{"integrity", nil, 1},
+		{"confidential", []Option{WithConfidentiality()}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := newPair(t, tc.opts...)
+			payload := bytes.Repeat([]byte{7}, 300)
+			var buf []byte
+			cycle := func() {
+				env, err := a.Shield("ab", 7, payload)
+				if err != nil {
+					t.Fatalf("Shield: %v", err)
+				}
+				buf = env.AppendTo(buf[:0])
+				RecyclePayload(&env)
+				var e Envelope
+				if err := b.DecodeEnvelopeInto(&e, buf); err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				_, got, err := b.Verify(e)
+				if err != nil || len(got) != 1 || !bytes.Equal(got[0].Payload, payload) {
+					t.Fatalf("Verify: %d delivered, %v", len(got), err)
+				}
+			}
+			cycle() // warm the per-channel scratch buffers
+			if n := testing.AllocsPerRun(200, cycle); n > tc.budget {
+				t.Fatalf("hot path allocates %.1f per message, budget is %.0f", n, tc.budget)
+			}
+		})
 	}
 }
 
@@ -178,13 +194,20 @@ func TestFutureBufferByteBudget(t *testing.T) {
 // once: seals, verifies, batch seals, channel opens/closes (reconfig
 // pruning), view and epoch moves, and the observability getters. Run under
 // -race this is the regression test for the per-channel locking scheme.
+// Both modes run it: a confidential channel also opens into its scratch and
+// parks plaintext copies.
 func TestChannelTableRace(t *testing.T) {
+	t.Run("integrity", func(t *testing.T) { channelTableRace(t) })
+	t.Run("confidential", func(t *testing.T) { channelTableRace(t, WithConfidentiality()) })
+}
+
+func channelTableRace(t *testing.T, opts ...Option) {
 	plat, err := tee.NewPlatform("race", tee.WithCostModel(tee.NativeCostModel()))
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
 	}
-	s := NewShielder(plat.NewEnclave([]byte("s")))
-	v := NewShielder(plat.NewEnclave([]byte("v")))
+	s := NewShielder(plat.NewEnclave([]byte("s")), opts...)
+	v := NewShielder(plat.NewEnclave([]byte("v")), opts...)
 	key := bytes.Repeat([]byte{7}, 32)
 	channels := []string{"c0", "c1", "c2", "c3"}
 	for _, cq := range channels {

@@ -1,6 +1,7 @@
 package authn
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/hmac"
@@ -56,6 +57,11 @@ const maxFutureBytes = 4 << 20
 // macLen is the HMAC-SHA256 tag length.
 const macLen = sha256.Size
 
+// maxScratchRetain bounds the plaintext scratch a confidential channel keeps
+// between Verify calls: one oversized message must not pin its buffer in the
+// protected area for the channel's lifetime.
+const maxScratchRetain = 1 << 20
+
 // Status classifies the outcome of Verify.
 type Status int
 
@@ -100,12 +106,15 @@ type Shielder struct {
 // the channel; the mac/hdr fields are per-channel reusable state — the keyed
 // HMAC schedule is computed once at open and Reset per message, and the
 // header is serialised into a scratch buffer that lives with the channel —
-// so the steady-state seal performs no allocation beyond the MAC tag.
+// so the steady-state seal performs no allocation beyond the MAC tag (and
+// none at all in confidential mode, whose pooled GCM seal is the MAC).
+//
+// A channel's mode is fixed when it is opened: exactly one of aead
+// (confidential) and mac (integrity-only) is set.
 type sendState struct {
 	mu    sync.Mutex
-	key   []byte
-	aead  cipher.AEAD // non-nil in confidential mode
-	mac   hash.Hash   // precomputed keyed HMAC state, Reset+reused per seal
+	aead  cipher.AEAD // confidential mode: seals payloads, its tag is the MAC
+	mac   hash.Hash   // integrity-only mode: keyed HMAC state, Reset per seal
 	hdr   []byte      // header scratch
 	cnt   uint64
 	group uint32 // replication group stamped into every envelope
@@ -116,13 +125,17 @@ type sendState struct {
 type recvState struct {
 	mu    sync.Mutex
 	name  string // the channel's table key, handed out by DecodeEnvelopeInto
-	key   []byte
 	aead  cipher.AEAD
 	mac   hash.Hash
 	hdr   []byte // header scratch
 	sum   []byte // computed-MAC scratch
 	group uint32 // envelopes on this channel must carry this group
 	rcnt  uint64
+
+	// scratch is the bump buffer confidential payloads open into. Verify
+	// resets it on entry, so plaintext handed out lives exactly as long as
+	// the delivered slice that carries it.
+	scratch []byte
 
 	future map[uint64]Envelope
 	// futureBytes tracks the payload bytes parked in future, enforcing
@@ -204,43 +217,39 @@ func (s *Shielder) open(cq string, key []byte, group uint32, loose bool) error {
 	if len(key) < 16 {
 		return fmt.Errorf("authn: channel %s key too short (%d bytes)", cq, len(key))
 	}
-	var sendAEAD, recvAEAD cipher.AEAD
-	if s.confidential {
-		var err error
-		if sendAEAD, err = newAEAD(key); err != nil {
-			return fmt.Errorf("authn: channel %s: %w", cq, err)
-		}
-		if recvAEAD, err = newAEAD(key); err != nil {
-			return fmt.Errorf("authn: channel %s: %w", cq, err)
-		}
-	}
-	k := make([]byte, len(key))
-	copy(k, key)
-	// The keyed HMAC states are precomputed here, once per channel per
-	// direction, and Reset+reused for every message — the per-message
-	// hmac.New (two hash states plus the key schedule) this replaces was the
-	// single largest allocation on the hot path.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.send[cq] = &sendState{
-		key:   k,
-		aead:  sendAEAD,
-		mac:   hmac.New(sha256.New, k),
-		hdr:   make([]byte, 0, headerSize+len(cq)),
-		group: group,
-	}
-	s.recv[cq] = &recvState{
+	send := &sendState{hdr: make([]byte, 0, headerSize+len(cq)), group: group}
+	recv := &recvState{
 		name:      cq,
-		key:       k,
-		aead:      recvAEAD,
-		mac:       hmac.New(sha256.New, k),
 		hdr:       make([]byte, 0, headerSize+len(cq)),
-		sum:       make([]byte, 0, macLen),
 		group:     group,
 		loose:     loose,
 		future:    make(map[uint64]Envelope),
 		delivered: make([]Envelope, 0, 4),
 	}
+	if s.confidential {
+		// The GCM tag authenticates header and payload, so a confidential
+		// channel keeps no HMAC state and its AES key serves one primitive.
+		var err error
+		if send.aead, err = newAEAD(key); err != nil {
+			return fmt.Errorf("authn: channel %s: %w", cq, err)
+		}
+		if recv.aead, err = newAEAD(key); err != nil {
+			return fmt.Errorf("authn: channel %s: %w", cq, err)
+		}
+	} else {
+		// The keyed HMAC states are precomputed here, once per channel per
+		// direction, and Reset+reused for every message — the per-message
+		// hmac.New (two hash states plus the key schedule) this replaces
+		// was the single largest allocation on the hot path.
+		k := bytes.Clone(key)
+		send.mac = hmac.New(sha256.New, k)
+		recv.mac = hmac.New(sha256.New, k)
+		recv.sum = make([]byte, 0, macLen)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.send[cq] = send
+	s.recv[cq] = recv
 	return nil
 }
 
@@ -330,8 +339,10 @@ func (s *Shielder) Epoch() uint64 {
 }
 
 // Shield implements Algorithm 1's shield_request: it assigns the next
-// sequence tuple for the channel and MACs (and optionally encrypts) the
-// payload inside the TEE.
+// sequence tuple for the channel and authenticates the payload inside the
+// TEE — by an HMAC tag on an integrity-only channel, by sealing it with
+// AES-GCM on a confidential one, where the GCM tag is the MAC and the
+// envelope's MAC field stays empty.
 //
 // The returned envelope's Payload aliases the caller's payload in
 // non-confidential mode (no copy is taken); in confidential mode it is a
@@ -357,36 +368,37 @@ func (s *Shielder) Shield(cq string, kind uint16, payload []byte) (Envelope, err
 		Group:   st.group,
 		Seq:     st.cnt,
 		Kind:    kind,
-		Enc:     s.confidential,
+		Enc:     st.aead != nil,
 	}
-	st.hdr = env.appendHeader(st.hdr[:0])
-	s.enclave.ChargeTransition()
-	if env.Enc {
-		s.enclave.ChargeConfidential(len(payload))
-		sealed, err := sealPooled(st.aead, st.hdr, payload)
-		if err != nil {
-			return Envelope{}, err
-		}
-		env.Payload = sealed
-	} else {
-		env.Payload = payload
+	if err := s.authenticate(st, &env, payload); err != nil {
+		return Envelope{}, err
 	}
-	env.MAC = st.sealMAC(env.Payload)
 	return env, nil
 }
 
-// sealPooled encrypts payload under aead with a fresh random nonce into a
-// pooled buffer laid out nonce||ciphertext (the confidential wire format).
-func sealPooled(aead cipher.AEAD, header, payload []byte) ([]byte, error) {
-	ns := aead.NonceSize()
-	buf := bufpool.Get(ns + len(payload) + aead.Overhead())
-	buf = buf[:ns]
+// authenticate serialises env's header and fills its Payload and MAC:
+// confidential channels seal payload into a pooled buffer laid out
+// nonce||ciphertext||tag, with the header as associated data, and leave MAC
+// empty; integrity-only channels send payload as is under an HMAC tag over
+// header||payload. Holds st.mu.
+func (s *Shielder) authenticate(st *sendState, env *Envelope, payload []byte) error {
+	st.hdr = env.appendHeader(st.hdr[:0])
+	s.enclave.ChargeTransition()
+	if st.aead == nil {
+		env.Payload = payload
+		env.MAC = st.sealMAC(payload)
+		return nil
+	}
+	s.enclave.ChargeConfidential(len(payload))
+	ns := st.aead.NonceSize()
+	buf := bufpool.Get(ns + len(payload) + st.aead.Overhead())[:ns]
 	if _, err := io.ReadFull(rand.Reader, buf); err != nil {
 		bufpool.Put(buf)
-		return nil, fmt.Errorf("authn: nonce: %w", err)
+		return fmt.Errorf("authn: nonce: %w", err)
 	}
-	// Seal appends the ciphertext after the nonce in the same buffer.
-	return aead.Seal(buf, buf[:ns], payload, header), nil
+	// Seal appends the ciphertext and tag after the nonce in the same buffer.
+	env.Payload = st.aead.Seal(buf, buf, payload, st.hdr)
+	return nil
 }
 
 // sealMAC computes the envelope MAC over the header scratch and payload with
@@ -415,7 +427,7 @@ func RecyclePayload(env *Envelope) {
 
 // ShieldBatch shields N messages for channel cq under a single sealed
 // envelope: the items occupy the counter range [Seq, Seq+N-1] but cost one
-// MAC, one enclave transition, and (in confidential mode) one AEAD seal —
+// MAC (in confidential mode, one AEAD seal) and one enclave transition —
 // the amortization that makes the shielded hot path batch-friendly. A
 // one-item batch degrades to a plain Shield.
 //
@@ -452,23 +464,16 @@ func (s *Shielder) ShieldBatch(cq string, items []BatchItem) (Envelope, error) {
 		Group:   st.group,
 		Seq:     first,
 		Batch:   true,
-		Enc:     s.confidential,
+		Enc:     st.aead != nil,
 	}
-	st.hdr = env.appendHeader(st.hdr[:0])
 	body := getBatchBody(items)
-	s.enclave.ChargeTransition()
+	err := s.authenticate(st, &env, body)
 	if env.Enc {
-		s.enclave.ChargeConfidential(len(body))
-		sealed, err := sealPooled(st.aead, st.hdr, body)
-		bufpool.Put(body)
-		if err != nil {
-			return Envelope{}, err
-		}
-		env.Payload = sealed
-	} else {
-		env.Payload = body
+		bufpool.Put(body) // sealed into a buffer of its own
 	}
-	env.MAC = st.sealMAC(env.Payload)
+	if err != nil {
+		return Envelope{}, err
+	}
 	return env, nil
 }
 
@@ -476,9 +481,17 @@ func (s *Shielder) ShieldBatch(cq string, items []BatchItem) (Envelope, error) {
 // plaintext payloads of the message and of any consecutive buffered future
 // messages that the arrival unblocked, in sequence order.
 //
-// The returned slice is the channel's reusable delivery buffer: it (and the
-// envelopes in it) stay valid only until the next Verify or TickFutures on
-// the same channel. Callers consume it synchronously or copy what they keep.
+// The envelope is authenticated before anything else is believed: on a
+// confidential channel by opening it (the GCM tag covers header and
+// payload), on an integrity-only channel by its HMAC. An envelope whose mode
+// does not match the channel's fails like a bad MAC. Only then are the
+// group, epoch, view, replay and gap checks run, so nothing unauthenticated
+// is ever parked.
+//
+// The returned slice is the channel's reusable delivery buffer: it, the
+// envelopes in it, and the plaintext they carry (opened into the channel's
+// scratch) stay valid only until the next Verify or TickFutures on the same
+// channel. Callers consume it synchronously or copy what they keep.
 func (s *Shielder) Verify(env Envelope) (Status, []Envelope, error) {
 	if s.enclave.Crashed() {
 		return 0, nil, tee.ErrEnclaveCrashed
@@ -493,14 +506,16 @@ func (s *Shielder) Verify(env Envelope) (Status, []Envelope, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.hdr = env.appendHeader(st.hdr[:0])
-	st.mac.Reset()
-	st.mac.Write(st.hdr)
-	st.mac.Write(env.Payload)
-	st.sum = st.mac.Sum(st.sum[:0])
-	if !hmac.Equal(env.MAC, st.sum) {
-		return 0, nil, ErrBadMAC
+	if cap(st.scratch) > maxScratchRetain {
+		st.scratch = nil
 	}
+	st.scratch = st.scratch[:0]
+	plain, err := s.check(st, &env)
+	if err != nil {
+		return 0, nil, err
+	}
+	env.Payload = plain
+	env.Enc = false
 	if env.Group != st.group {
 		// The MAC is valid, so this is a genuine envelope of another shard
 		// (same master key, same channel name) carried across the group
@@ -525,51 +540,91 @@ func (s *Shielder) Verify(env Envelope) (Status, []Envelope, error) {
 		return 0, nil, fmt.Errorf("%w: seq %d <= rcnt %d on %s", ErrReplay, env.Seq, st.rcnt, env.Channel)
 	}
 	if st.loose && env.Seq > st.rcnt+1 {
-		plain, err := s.openPayload(st, env)
-		if err != nil {
-			return 0, nil, err
-		}
 		st.rcnt = env.Seq
-		env.Payload = plain
-		env.Enc = false
 		st.delivered = append(st.delivered[:0], env)
 		return Delivered, st.delivered, nil
 	}
 	if env.Seq > st.rcnt+1 {
-		if _, dup := st.future[env.Seq]; !dup {
-			if len(st.future) >= maxFutureBuffer || st.futureBytes+len(env.Payload) > maxFutureBytes {
-				s.overflowDrops.Add(1)
-				return 0, nil, ErrFutureOverflow
-			}
-			st.futureBytes += len(env.Payload)
-			st.future[env.Seq] = env
+		if !s.park(st, env) {
+			return 0, nil, ErrFutureOverflow
 		}
 		return Buffered, nil, nil
 	}
 
 	// env.Seq == rcnt+1: deliver it and drain consecutive futures.
-	plain, err := s.openPayload(st, env)
-	if err != nil {
-		return 0, nil, err
-	}
-	env.Payload = plain
-	env.Enc = false
 	st.delivered = append(st.delivered[:0], env)
 	st.rcnt++
-	st.delivered = s.drainFutures(st, st.delivered)
+	st.delivered = drainFutures(st, st.delivered)
 	return Delivered, st.delivered, nil
 }
 
-// verifyBatch processes an authenticated batch envelope: one MAC check and
-// one decryption already happened (or happen here), then each contained
-// message runs through the ordinary counter logic. Holds s.mu (shared) and
-// st.mu.
-func (s *Shielder) verifyBatch(st *recvState, env Envelope) (Status, []Envelope, error) {
-	body, err := s.openPayload(st, env)
-	if err != nil {
-		return 0, nil, err
+// check authenticates env and returns its plaintext payload. A confidential
+// channel accepts only sealed envelopes with an empty MAC field and opens
+// them into its scratch; an integrity-only channel accepts only plain ones
+// and recomputes their HMAC. Every failure is ErrBadMAC. Holds st.mu.
+func (s *Shielder) check(st *recvState, env *Envelope) ([]byte, error) {
+	if st.aead == nil {
+		if env.Enc {
+			return nil, ErrBadMAC
+		}
+		st.hdr = env.appendHeader(st.hdr[:0])
+		st.mac.Reset()
+		st.mac.Write(st.hdr)
+		st.mac.Write(env.Payload)
+		st.sum = st.mac.Sum(st.sum[:0])
+		if !hmac.Equal(env.MAC, st.sum) {
+			return nil, ErrBadMAC
+		}
+		return env.Payload, nil
 	}
-	items, err := decodeBatchBody(st.items[:0], body)
+	if !env.Enc || len(env.MAC) != 0 {
+		return nil, ErrBadMAC
+	}
+	s.enclave.ChargeConfidential(len(env.Payload))
+	ns, overhead := st.aead.NonceSize(), st.aead.Overhead()
+	if len(env.Payload) < ns+overhead {
+		return nil, ErrBadMAC
+	}
+	st.hdr = env.appendHeader(st.hdr[:0])
+	if need := len(env.Payload) - ns - overhead; cap(st.scratch)-len(st.scratch) < need {
+		// Plaintext already handed out in this call keeps the old array.
+		st.scratch = make([]byte, 0, 2*need)
+	}
+	n := len(st.scratch)
+	out, err := st.aead.Open(st.scratch, env.Payload[:ns], env.Payload[ns:], st.hdr)
+	if err != nil {
+		return nil, ErrBadMAC
+	}
+	st.scratch = out
+	return out[n:], nil
+}
+
+// park buffers an authenticated out-of-order message until its gap closes,
+// reporting false (and counting the drop) if the channel's count or byte
+// bound is reached. A confidential channel parks a copy of the plaintext,
+// since its scratch is reused by the next Verify; an integrity-only one
+// parks the payload as it arrived, aliasing the wire buffer. Holds st.mu.
+func (s *Shielder) park(st *recvState, m Envelope) bool {
+	if _, dup := st.future[m.Seq]; dup {
+		return true
+	}
+	if len(st.future) >= maxFutureBuffer || st.futureBytes+len(m.Payload) > maxFutureBytes {
+		s.overflowDrops.Add(1)
+		return false
+	}
+	if st.aead != nil {
+		m.Payload = bytes.Clone(m.Payload)
+	}
+	st.futureBytes += len(m.Payload)
+	st.future[m.Seq] = m
+	return true
+}
+
+// verifyBatch runs each message of an authenticated batch envelope, whose
+// payload is already the plaintext body, through the ordinary counter logic.
+// Holds s.mu (shared) and st.mu.
+func (s *Shielder) verifyBatch(st *recvState, env Envelope) (Status, []Envelope, error) {
+	items, err := decodeBatchBody(st.items[:0], env.Payload)
 	if err != nil {
 		// The MAC was valid, so a malformed body means a broken (not
 		// tampering) sender; reject it like any undecodable message.
@@ -589,23 +644,16 @@ func (s *Shielder) verifyBatch(st *recvState, env Envelope) (Status, []Envelope,
 		case st.loose || seq == st.rcnt+1:
 			st.rcnt = seq
 			delivered = append(delivered, m)
-		default:
-			if _, dup := st.future[seq]; !dup {
-				if len(st.future) >= maxFutureBuffer || st.futureBytes+len(m.Payload) > maxFutureBytes {
-					// Unlike the single-envelope path, part of the batch may
-					// already have delivered or buffered, so the overflow
-					// cannot always surface as an error; it is counted.
-					s.overflowDrops.Add(1)
-					overflow = true
-					continue
-				}
-				st.futureBytes += len(m.Payload)
-				st.future[seq] = m
-			}
+		case s.park(st, m):
 			buffered = true
+		default:
+			// Unlike the single-envelope path, part of the batch may already
+			// have delivered or buffered, so the overflow cannot always
+			// surface as an error; park counted it.
+			overflow = true
 		}
 	}
-	delivered = s.drainFutures(st, delivered)
+	delivered = drainFutures(st, delivered)
 	st.delivered = delivered
 	switch {
 	case len(delivered) > 0:
@@ -621,8 +669,10 @@ func (s *Shielder) verifyBatch(st *recvState, env Envelope) (Status, []Envelope,
 }
 
 // drainFutures appends the consecutive run of buffered future messages
-// starting at rcnt+1 to delivered, advancing rcnt. Holds st.mu.
-func (s *Shielder) drainFutures(st *recvState, delivered []Envelope) []Envelope {
+// starting at rcnt+1 to delivered, advancing rcnt. Parked messages were
+// authenticated (and opened) on arrival, so draining decrypts nothing.
+// Holds st.mu.
+func drainFutures(st *recvState, delivered []Envelope) []Envelope {
 	for {
 		next, ok := st.future[st.rcnt+1]
 		if !ok {
@@ -631,35 +681,8 @@ func (s *Shielder) drainFutures(st *recvState, delivered []Envelope) []Envelope 
 		delete(st.future, st.rcnt+1)
 		st.futureBytes -= len(next.Payload)
 		st.rcnt++
-		plain, err := s.openPayload(st, next)
-		if err != nil {
-			continue // undecryptable: count it consumed, drop it
-		}
-		next.Payload = plain
-		next.Enc = false
 		delivered = append(delivered, next)
 	}
-}
-
-// openPayload decrypts the payload in confidential mode. Must hold st.mu.
-func (s *Shielder) openPayload(st *recvState, env Envelope) ([]byte, error) {
-	if !env.Enc {
-		return env.Payload, nil
-	}
-	s.enclave.ChargeConfidential(len(env.Payload))
-	if st.aead == nil {
-		return nil, fmt.Errorf("authn: encrypted payload on non-confidential channel %s", env.Channel)
-	}
-	ns := st.aead.NonceSize()
-	if len(env.Payload) < ns {
-		return nil, ErrBadMAC
-	}
-	st.hdr = env.appendHeader(st.hdr[:0])
-	plain, err := st.aead.Open(nil, env.Payload[:ns], env.Payload[ns:], st.hdr)
-	if err != nil {
-		return nil, ErrBadMAC
-	}
-	return plain, nil
 }
 
 // TickFutures ages every channel's future buffer and, for channels whose
@@ -670,8 +693,10 @@ func (s *Shielder) openPayload(st *recvState, env Envelope) ([]byte, error) {
 // without it, a single packet lost on the unreliable network would strand a
 // channel forever. Replay protection is unaffected: rcnt only moves forward.
 //
-// The returned slice is freshly allocated (it spans channels), but the
-// envelopes' payloads may alias received packet buffers like any delivery.
+// The returned slice is freshly allocated (it spans channels). The
+// envelopes' payloads are the parked ones: on an integrity-only channel they
+// alias received packet buffers like any delivery, on a confidential one
+// they are the plaintext copies taken when the messages were parked.
 func (s *Shielder) TickFutures(threshold int) []Envelope {
 	if s.enclave.Crashed() {
 		return nil
@@ -699,7 +724,7 @@ func (s *Shielder) TickFutures(threshold int) []Envelope {
 			}
 		}
 		st.rcnt = lowest - 1
-		out = s.drainFutures(st, out)
+		out = drainFutures(st, out)
 		st.mu.Unlock()
 	}
 	return out

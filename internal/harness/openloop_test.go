@@ -116,9 +116,17 @@ func TestOpenLoopCoordinatedOmission(t *testing.T) {
 	if openShare < 0.05 {
 		t.Errorf("open loop charged only %.2f%% of arrivals >150ms; the stall window alone covers ~20%% of the run", 100*openShare)
 	}
-	// The closed loop must hide it: only Conns in-flight ops slow down.
-	if limit := float64(stall) / 2; closedP99 >= limit {
-		t.Errorf("closed-loop p99 = %.1fms unexpectedly surfaced the stall (want < %.0fms) — control is no longer closed-loop",
+	// The closed loop must hide it: only Conns in-flight ops slow down. How
+	// many those are is fixed — each worker is caught once by the stall's
+	// onset and at most once more across its clearing, 8-12 ops in all —
+	// but the fast ops around them scale with the host's speed. A host
+	// loaded enough (-race, GOMAXPROCS above the CPU count, the rest of the
+	// suite alongside) to complete under ~1.8k control ops puts those few
+	// in the top 1 %, and an absolute p99 bound then trips on a closed
+	// control. The same load stretches the open loop's backlog behind the
+	// stall, so the bound is the same run's open-loop p99.
+	if limit := openP99 / 2; closedP99 > limit {
+		t.Errorf("closed-loop p99 = %.1fms unexpectedly surfaced the stall (want <= open-loop p99/2 = %.1fms) — control is no longer closed-loop",
 			closedP99/1e6, limit/1e6)
 	}
 	if openShare < 5*closedShare {

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 )
@@ -38,6 +39,12 @@ var errArenaFull = errors.New("kvstore: host memory exhausted")
 
 // alloc stores a copy of data and returns its handle.
 func (a *hostArena) alloc(data []byte) (handle, error) {
+	return a.adopt(bytes.Clone(data))
+}
+
+// adopt stores data itself, without a copy, and returns its handle: the
+// caller hands the buffer over and must not touch it again.
+func (a *hostArena) adopt(data []byte) (handle, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.limit > 0 && a.bytes+int64(len(data)) > a.limit {
@@ -51,9 +58,7 @@ func (a *hostArena) alloc(data []byte) (handle, error) {
 		a.next++
 		slot = a.next
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	a.slots[slot] = buf
+	a.slots[slot] = data
 	a.bytes += int64(len(data))
 	return handle{slot: slot}, nil
 }

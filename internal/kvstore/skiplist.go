@@ -15,7 +15,10 @@ const (
 // version (Lamport timestamp for ABD-style protocols), and the handle of the
 // value in host memory.
 type entry struct {
-	hash    [32]byte
+	// check authenticates the host-resident bytes: the SHA-256 of the
+	// value, or in confidential mode the sealed value's GCM tag in its
+	// first tagLen bytes.
+	check   [32]byte
 	version Version
 	handle  handle
 	size    int

@@ -5,11 +5,13 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"recipe/internal/tee"
 )
@@ -19,7 +21,8 @@ var (
 	// ErrNotFound is returned when a key does not exist.
 	ErrNotFound = errors.New("kvstore: key not found")
 	// ErrIntegrity is returned when a value read from host memory does not
-	// match the enclave-resident hash (Byzantine host detected).
+	// match the enclave-resident check — the value's hash, or in
+	// confidential mode its GCM tag (Byzantine host detected).
 	ErrIntegrity = errors.New("kvstore: integrity verification failed")
 	// ErrStaleVersion is returned by WriteVersioned when the store already
 	// holds a newer version for the key.
@@ -45,7 +48,10 @@ type Mutation struct {
 }
 
 // Store is Recipe's per-node KV store: an enclave-resident index over
-// host-resident values.
+// host-resident values. Each index entry keeps what authenticates its value:
+// the SHA-256 of the value, or in confidential mode the 16-byte GCM tag of
+// the sealed value, which Open would verify anyway — comparing it first
+// also pins the entry to the one ciphertext written last.
 type Store struct {
 	enclave *tee.Enclave
 	index   *skiplist
@@ -160,35 +166,39 @@ func (s *Store) write(key string, value []byte, v Version, versioned bool) error
 		}
 	}
 
-	stored := value
+	ent := entry{version: v}
+	var err error
 	if s.aead != nil {
 		s.enclave.ChargeConfidential(len(value))
-		nonce := make([]byte, s.aead.NonceSize())
-		if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
+		// One buffer, nonce||ciphertext||tag, sealed in place and handed to
+		// the arena as is.
+		ns := s.aead.NonceSize()
+		buf := make([]byte, ns, ns+len(value)+s.aead.Overhead())
+		if _, err := io.ReadFull(rand.Reader, buf); err != nil {
 			return fmt.Errorf("kv write: nonce: %w", err)
 		}
-		stored = append(nonce, s.aead.Seal(nil, nonce, value, []byte(key))...)
+		sealed := s.aead.Seal(buf, buf, value, keyBytes(key))
+		copy(ent.check[:], sealed[len(sealed)-tagLen:])
+		ent.size = len(sealed)
+		// Crossing the enclave boundary to place the value in host memory.
+		s.enclave.ChargeTransition()
+		ent.handle, err = s.arena.adopt(sealed)
+	} else {
+		ent.check = sha256.Sum256(value)
+		ent.size = len(value)
+		s.enclave.ChargeTransition()
+		ent.handle, err = s.arena.alloc(value)
 	}
-
-	// Crossing the enclave boundary to place the value in host memory.
-	s.enclave.ChargeTransition()
-	h, err := s.arena.alloc(stored)
 	if err != nil {
 		return fmt.Errorf("kv write %q: %w", key, err)
 	}
 
-	ent := entry{
-		hash:    sha256.Sum256(stored),
-		version: v,
-		handle:  h,
-		size:    len(stored),
-	}
 	prev, existed := s.index.set(key, ent)
 	if existed {
 		s.arena.release(prev.handle)
-		s.enclave.ChargeResident(-metaSize(key, prev))
+		s.enclave.ChargeResident(-s.metaSize(key))
 	}
-	s.enclave.ChargeResident(metaSize(key, ent))
+	s.enclave.ChargeResident(s.metaSize(key))
 	if versioned {
 		// The write landed above the floor: the key is resurrected. Cleared
 		// only after success — a failed write must leave the floor standing,
@@ -202,7 +212,8 @@ func (s *Store) write(key string, value []byte, v Version, versioned bool) error
 }
 
 // Get copies the value for key into the protected area, verifying its
-// integrity against the enclave-resident hash (the paper's get(key, &v_TEE)).
+// integrity against the enclave-resident hash or tag (the paper's
+// get(key, &v_TEE)).
 // This is what makes single-replica local reads trustworthy.
 func (s *Store) Get(key string) ([]byte, error) {
 	v, _, err := s.GetVersioned(key)
@@ -223,20 +234,25 @@ func (s *Store) GetVersioned(key string) ([]byte, Version, error) {
 	if err != nil {
 		return nil, Version{}, fmt.Errorf("%w: %q: %v", ErrIntegrity, key, err)
 	}
-	if sha256.Sum256(raw) != ent.hash {
-		return nil, Version{}, fmt.Errorf("%w: %q", ErrIntegrity, key)
-	}
 	if s.aead != nil {
-		s.enclave.ChargeConfidential(len(raw))
+		// The stored tag goes first: an older ciphertext of this key would
+		// Open fine, but it does not carry the tag of the last write.
 		ns := s.aead.NonceSize()
-		if len(raw) < ns {
+		if len(raw) < ns+tagLen {
 			return nil, Version{}, fmt.Errorf("%w: %q: short ciphertext", ErrIntegrity, key)
 		}
-		plain, err := s.aead.Open(nil, raw[:ns], raw[ns:], []byte(key))
+		if subtle.ConstantTimeCompare(raw[len(raw)-tagLen:], ent.check[:tagLen]) != 1 {
+			return nil, Version{}, fmt.Errorf("%w: %q", ErrIntegrity, key)
+		}
+		s.enclave.ChargeConfidential(len(raw))
+		plain, err := s.aead.Open(nil, raw[:ns], raw[ns:], keyBytes(key))
 		if err != nil {
 			return nil, Version{}, fmt.Errorf("%w: %q: %v", ErrIntegrity, key, err)
 		}
 		return plain, ent.version, nil
+	}
+	if sha256.Sum256(raw) != ent.check {
+		return nil, Version{}, fmt.Errorf("%w: %q", ErrIntegrity, key)
 	}
 	out := make([]byte, len(raw))
 	copy(out, raw)
@@ -276,7 +292,7 @@ func (s *Store) deleteEntry(key string) error {
 		return fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	s.arena.release(ent.handle)
-	s.enclave.ChargeResident(-metaSize(key, ent))
+	s.enclave.ChargeResident(-s.metaSize(key))
 	return nil
 }
 
@@ -465,7 +481,23 @@ func (s *Store) CorruptValue(key string, offset int) bool {
 	return s.arena.corrupt(ent.handle, offset)
 }
 
-// metaSize approximates the enclave-resident footprint of one index entry.
-func metaSize(key string, e entry) int {
-	return len(key) + 32 /* hash */ + 16 /* version */ + 16 /* handle+size */
+// tagLen is the GCM tag length: the enclave-resident check of a
+// confidential value.
+const tagLen = 16
+
+// keyBytes views key as the associated data of its value's seal without a
+// copy; GCM only reads its additional data.
+func keyBytes(key string) []byte {
+	return unsafe.Slice(unsafe.StringData(key), len(key))
+}
+
+// metaSize approximates the enclave-resident footprint of one index entry:
+// the key, its value's check (a 32-byte hash, or a 16-byte GCM tag in
+// confidential mode), the version, and the host handle and size.
+func (s *Store) metaSize(key string) int {
+	check := sha256.Size
+	if s.aead != nil {
+		check = tagLen
+	}
+	return len(key) + check + 16 /* version */ + 16 /* handle+size */
 }

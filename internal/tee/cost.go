@@ -91,12 +91,29 @@ func Burn(n int) {
 	if n <= 0 {
 		return
 	}
+	if fn := burnObserver.Load(); fn != nil {
+		(*fn)(n)
+	}
 	b := burnBlock
 	for i := 0; i < n; i++ {
 		s := sha256.Sum256(b[:])
 		copy(b[:], s[:])
 	}
 	burnSink.Store(uint32(b[0]))
+}
+
+// burnObserver, when set, sees the unit count of every Burn.
+var burnObserver atomic.Pointer[func(units int)]
+
+// ObserveBurns installs fn to see the unit count of every Burn — every
+// modelled charge, from enclave transitions, confidential staging, EPC
+// paging and the network stack models — until the returned function removes
+// it. Tests use it to pin how much modelled work an operation costs. fn runs
+// on the charging goroutine and must be safe for concurrent use; one
+// observer is installed at a time.
+func ObserveBurns(fn func(units int)) (stop func()) {
+	burnObserver.Store(&fn)
+	return func() { burnObserver.Store(nil) }
 }
 
 // burnSink defeats dead-code elimination of Burn's work; atomic because
